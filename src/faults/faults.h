@@ -88,19 +88,16 @@ inline bool BugEnabled(SeededBug bug) { return FaultRegistry::Global().IsEnabled
 // RAII scope that enables a seeded bug for the duration of a test body and guarantees
 // it cannot leak into later tests: the destructor disables the bug even if the test
 // body exits early. Prefer this over raw Enable/Disable pairs in tests.
-class ScopedSeededBug {
+class ScopedBug {
  public:
-  explicit ScopedSeededBug(SeededBug bug) : bug_(bug) { FaultRegistry::Global().Enable(bug); }
-  ~ScopedSeededBug() { FaultRegistry::Global().Disable(bug_); }
-  ScopedSeededBug(const ScopedSeededBug&) = delete;
-  ScopedSeededBug& operator=(const ScopedSeededBug&) = delete;
+  explicit ScopedBug(SeededBug bug) : bug_(bug) { FaultRegistry::Global().Enable(bug); }
+  ~ScopedBug() { FaultRegistry::Global().Disable(bug_); }
+  ScopedBug(const ScopedBug&) = delete;
+  ScopedBug& operator=(const ScopedBug&) = delete;
 
  private:
   SeededBug bug_;
 };
-
-// Historic name, kept so existing call sites read naturally.
-using ScopedBug = ScopedSeededBug;
 
 }  // namespace ss
 

@@ -449,7 +449,7 @@ std::function<void()> MakePutMigrateBody(bool legacy_route_commit) {
     // can leave the directory at the tombstoned source copy, surfacing kNotFound.
     auto got = node->Get(id);
     MC_CHECK(got.ok(), "shard lost after put ∥ migrate: " + got.status().ToString());
-    MC_CHECK(got.value() == v1 || got.value() == v2,
+    MC_CHECK(got.value().value == v1 || got.value().value == v2,
              "put ∥ migrate returned a value neither write produced");
   };
 }
@@ -489,12 +489,12 @@ std::function<void()> MakePutBatchMigrateBody() {
 
     auto got = node->Get(id);
     MC_CHECK(got.ok(), "shard lost after put-batch ∥ migrate: " + got.status().ToString());
-    MC_CHECK(got.value() == v1 || got.value() == v2,
+    MC_CHECK(got.value().value == v1 || got.value().value == v2,
              "put-batch ∥ migrate returned a value neither write produced");
     auto bystander_got = node->Get(bystander);
     MC_CHECK(bystander_got.ok(),
              "bystander lost after put-batch ∥ migrate: " + bystander_got.status().ToString());
-    MC_CHECK(bystander_got.value() == v3, "bystander value corrupted");
+    MC_CHECK(bystander_got.value().value == v3, "bystander value corrupted");
   };
 }
 
@@ -526,7 +526,7 @@ std::function<void()> MakePutEvacuateBody(bool legacy_route_commit) {
 
     auto got = node->Get(id);
     MC_CHECK(got.ok(), "shard lost after put ∥ evacuate: " + got.status().ToString());
-    MC_CHECK(got.value() == v1 || got.value() == v2,
+    MC_CHECK(got.value().value == v1 || got.value().value == v2,
              "put ∥ evacuate returned a value neither write produced");
   };
 }

@@ -189,8 +189,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
   }
   std::unique_ptr<NodeServer> node = std::move(node_or).value();
   // Metric oracle: every request-plane call this harness issues must show up as
-  // exactly one rpc.<op>.{ok,err} increment, and the trace ring must have recorded at
-  // least that many events. Counted locally, checked against snapshot deltas at the end.
+  // exactly one rpc.<op>.{ok,err} increment and exactly one span.rpc.<op>.ticks
+  // sample. Counted locally, checked against snapshot deltas at the end.
   const MetricsSnapshot metrics_before = node->MetricsSnapshot();
   uint64_t puts_issued = 0;
   uint64_t gets_issued = 0;
@@ -235,7 +235,7 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         ++gets_issued;
         std::optional<Bytes> expected = model.Get(op.id);
         if (got.ok()) {
-          if (!expected.has_value() || got.value() != *expected) {
+          if (!expected.has_value() || got.value().value != *expected) {
             return fail(i, "wrong or phantom data");
           }
         } else if (got.code() == StatusCode::kNotFound) {
@@ -260,8 +260,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         auto dep_or = node->Put(op.id, op.value);
         ++puts_issued;
         if (dep_or.ok()) {
-          model.Put(op.id, op.value, dep_or.value());
-          dep_log.emplace_back(routed, dep_or.value());
+          model.Put(op.id, op.value, dep_or.value().dep);
+          dep_log.emplace_back(routed, dep_or.value().dep);
         } else if (dep_or.code() == StatusCode::kUnavailable) {
           if (!write_gated) {
             return fail(i, "Unavailable without a service/health cause");
@@ -282,8 +282,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         auto dep_or = node->Delete(op.id);
         ++deletes_issued;
         if (dep_or.ok()) {
-          model.Delete(op.id, dep_or.value());
-          dep_log.emplace_back(routed, dep_or.value());
+          model.Delete(op.id, dep_or.value().dep);
+          dep_log.emplace_back(routed, dep_or.value().dep);
         } else if (dep_or.code() == StatusCode::kUnavailable) {
           if (!write_gated) {
             return fail(i, "Unavailable without a service/health cause");
@@ -390,7 +390,7 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
           ++gets_issued;
           std::optional<Bytes> observed;
           if (got.ok()) {
-            observed = got.value();
+            observed = got.value().value;
           } else if (got.code() != StatusCode::kNotFound) {
             return fail(i, "post-crash key " + std::to_string(id) +
                                " unobservable: " + got.status().ToString());
@@ -486,7 +486,7 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
     auto got = node->Get(id);
     ++gets_issued;
     if (got.ok()) {
-      if (!expected.has_value() || got.value() != *expected) {
+      if (!expected.has_value() || got.value().value != *expected) {
         return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
                                           " wrong or phantom");
       }
@@ -531,12 +531,21 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         std::to_string(batches_issued) + " items=" + std::to_string(batch_item_delta) + "/" +
         std::to_string(batch_items_issued) + " disagree with ops issued");
   }
-  // Every request-plane op records exactly one trace event; control-plane ops add more.
-  const uint64_t request_events = puts_issued + gets_issued + deletes_issued + batches_issued;
-  if (node->trace().total_recorded() < request_events) {
-    return std::optional<std::string>(
-        "metric oracle: trace ring recorded " + std::to_string(node->trace().total_recorded()) +
-        " events, fewer than the " + std::to_string(request_events) + " request-plane ops");
+  // Every request-plane op opens exactly one root span, and every ended span feeds its
+  // span.<name>.ticks histogram even after the ring has wrapped past its record.
+  const std::pair<std::string_view, uint64_t> root_spans[] = {
+      {"span.rpc.put.ticks", puts_issued},
+      {"span.rpc.get.ticks", gets_issued},
+      {"span.rpc.delete.ticks", deletes_issued},
+      {"span.rpc.put_batch.ticks", batches_issued}};
+  for (const auto& [name, issued] : root_spans) {
+    const uint64_t recorded =
+        metrics_after.histogram_count(name) - metrics_before.histogram_count(name);
+    if (recorded != issued) {
+      return std::optional<std::string>("metric oracle: " + std::string(name) + " recorded " +
+                                        std::to_string(recorded) + " spans for " +
+                                        std::to_string(issued) + " ops issued");
+    }
   }
   return std::nullopt;
 }

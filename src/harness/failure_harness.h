@@ -77,7 +77,7 @@ struct FailureHarnessOptions {
   uint64_t key_bound = 16;
   size_t max_value_bytes = 600;
   // When set, any violation captures a flight-recorder artifact from the node (metric
-  // snapshot, rpc.* span trees, trace tail, per-disk dependency DOT and
+  // snapshot, rpc.* span trees, per-disk dependency DOT and
   // persisted-vs-volatile extents). Arm only for the one-shot re-run of a minimized
   // counterexample, not during search/shrinking.
   FlightRecorder* recorder = nullptr;

@@ -125,7 +125,7 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
         }
         std::optional<Bytes> expected = model.Get(op.id);
         if (got.ok()) {
-          if (!expected.has_value() || got.value() != *expected) {
+          if (!expected.has_value() || got.value().value != *expected) {
             return fail(i, "wrong or phantom data");
           }
         } else if (got.code() == StatusCode::kNotFound) {
@@ -146,7 +146,7 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
           break;
         }
         if (dep_or.ok()) {
-          model.Put(op.id, op.value, dep_or.value());
+          model.Put(op.id, op.value, dep_or.value().dep);
         } else if (dep_or.code() != StatusCode::kResourceExhausted) {
           return fail(i, "unexpected error: " + dep_or.status().ToString());
         }
@@ -161,7 +161,7 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
           break;
         }
         if (dep_or.ok()) {
-          model.Delete(op.id, dep_or.value());
+          model.Delete(op.id, dep_or.value().dep);
         } else {
           return fail(i, "unexpected error: " + dep_or.status().ToString());
         }
@@ -222,7 +222,7 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
           std::optional<Bytes> expected = model.Get(op.id);
           auto got = node->Get(op.id);
           if (expected.has_value()) {
-            if (!got.ok() || got.value() != *expected) {
+            if (!got.ok() || got.value().value != *expected) {
               return fail(i, "shard changed or vanished across migration");
             }
           }
@@ -245,7 +245,7 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
     std::optional<Bytes> expected = model.Get(id);
     auto got = node->Get(id);
     if (got.ok()) {
-      if (!expected.has_value() || got.value() != *expected) {
+      if (!expected.has_value() || got.value().value != *expected) {
         return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
                                           " wrong or phantom");
       }

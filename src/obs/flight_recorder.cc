@@ -77,15 +77,6 @@ void CaptureStore(ShardStore& store, FlightRecord& record) {
 void CaptureNode(NodeServer& node, FlightRecord& record) {
   record.metrics_json = node.MetricsSnapshot().ToJson();
   record.spans_json = node.spans().ToJson();
-  {
-    JsonWriter w;
-    w.BeginArray();
-    for (const TraceEvent& event : node.trace().Events()) {
-      w.Raw(event.ToJson());
-    }
-    w.EndArray();
-    record.trace_json = w.str();
-  }
   JsonWriter disks;
   disks.BeginArray();
   std::string dot;
@@ -162,8 +153,6 @@ Result<std::string> FlightRecorder::Write(const FlightRecord& record) {
   RawOrNull(w, record.metrics_json);
   w.Key("spans");
   RawOrNull(w, record.spans_json);
-  w.Key("trace");
-  RawOrNull(w, record.trace_json);
   w.Key("dependency_dot");
   w.String(record.dependency_dot);
   w.Key("disks");

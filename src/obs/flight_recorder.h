@@ -53,7 +53,7 @@ struct FlightRecord {
   std::vector<uint32_t> mc_schedule;  // McReplay schedule (MC failures only)
   std::string metrics_json;   // MetricsSnapshot::ToJson() at the moment of violation
   std::string spans_json;     // SpanTree::ToJson() — the run's causal span trees
-  std::string trace_json;     // JSON array of TraceEvent::ToJson()
+                              // (for a node: one root span per retained RPC)
   std::string dependency_dot; // DOT graph of unpersisted writes (IoScheduler queue)
   std::string disks_json;     // persisted-vs-volatile extent summary per disk
   std::string analysis_json;  // static/dynamic analysis report (lock-order witness
@@ -71,9 +71,9 @@ struct FlightRecord {
 // no SpanTree; harnesses thread their own).
 void CaptureStore(ShardStore& store, FlightRecord& record);
 
-// Fills `record` from a live node: node-wide metric snapshot, the node's span tree
-// and trace ring, plus per-disk dependency DOTs and extent summaries (out-of-service
-// disks contribute their persisted side only).
+// Fills `record` from a live node: node-wide metric snapshot, the node's span tree,
+// and per-disk dependency DOTs and extent summaries (out-of-service disks contribute
+// their persisted side only).
 void CaptureNode(NodeServer& node, FlightRecord& record);
 
 // Builds a record for a failed model-checking result: the error message and the

@@ -121,6 +121,11 @@ int64_t MetricsSnapshot::gauge(std::string_view name) const {
   return it == gauges.end() ? 0 : it->second;
 }
 
+uint64_t MetricsSnapshot::histogram_count(std::string_view name) const {
+  const auto it = histograms.find(std::string(name));
+  return it == histograms.end() ? 0 : it->second.count;
+}
+
 std::string MetricsSnapshot::ToString() const {
   std::ostringstream out;
   out << "== counters ==\n";

@@ -114,6 +114,8 @@ struct MetricsSnapshot {
   // snapshots with this, so "absent" and "never incremented" must read the same.
   uint64_t counter(std::string_view name) const;
   int64_t gauge(std::string_view name) const;
+  // Sample count of a histogram, or 0 if it was never registered (same reason).
+  uint64_t histogram_count(std::string_view name) const;
 
   // Accumulates `other` into this snapshot: counters and gauges sum (uint64 wrap on
   // counter overflow is defined behaviour), histograms with identical bounds merge

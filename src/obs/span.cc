@@ -12,6 +12,9 @@ std::string SpanRecord::ToString() const {
   std::ostringstream out;
   out << "#" << id << " " << name << " parent=" << parent << " root=" << root
       << " ticks=" << duration_ticks << " status=" << StatusCodeName(status);
+  if (shard != 0 || disk >= 0) {
+    out << " shard=" << shard << " disk=" << disk;
+  }
   if (remote_root != 0) {
     out << " remote_parent=" << remote_parent << " remote_root=" << remote_root;
   }
@@ -26,23 +29,32 @@ SpanTree::SpanTree(size_t capacity, MetricRegistry* metrics)
   ring_.reserve(capacity_);
 }
 
-uint64_t SpanTree::InsertLocked(SpanRecord record) {
-  const uint64_t id = next_id_++;
-  record.id = id;
-  if (record.root == 0) {
-    record.root = id;
+StartedSpan SpanTree::InsertLocked(SpanRecord record) {
+  StartedSpan started{next_id_++, nullptr};
+  if (metrics_ != nullptr) {
+    auto it = histogram_cache_.find(record.name);
+    if (it == histogram_cache_.end()) {
+      it = histogram_cache_
+               .emplace(record.name, &metrics_->histogram("span." + record.name + ".ticks"))
+               .first;
+    }
+    started.histogram = it->second;
   }
-  const size_t slot = static_cast<size_t>((id - 1) % capacity_);
+  record.id = started.id;
+  if (record.root == 0) {
+    record.root = started.id;
+  }
+  const size_t slot = static_cast<size_t>((started.id - 1) % capacity_);
   if (slot < ring_.size()) {
     ring_[slot] = std::move(record);
   } else {
     ring_.push_back(std::move(record));
   }
-  return id;
+  return started;
 }
 
-uint64_t SpanTree::StartSpan(std::string_view name, uint64_t parent, uint64_t root,
-                             uint64_t start_ticks) {
+StartedSpan SpanTree::StartSpan(std::string_view name, uint64_t parent, uint64_t root,
+                                uint64_t start_ticks) {
   LockGuard lock(mu_);
   SpanRecord record;
   record.parent = parent;
@@ -52,8 +64,8 @@ uint64_t SpanTree::StartSpan(std::string_view name, uint64_t parent, uint64_t ro
   return InsertLocked(std::move(record));
 }
 
-uint64_t SpanTree::StartRemoteSpan(std::string_view name, TraceContext remote,
-                                   uint64_t start_ticks) {
+StartedSpan SpanTree::StartRemoteSpan(std::string_view name, TraceContext remote,
+                                      uint64_t start_ticks) {
   LockGuard lock(mu_);
   SpanRecord record;
   record.remote_parent = remote.parent;
@@ -74,35 +86,25 @@ std::vector<uint64_t> SpanTree::RemoteTrees(uint64_t remote_root) const {
   return out;
 }
 
-void SpanTree::EndSpan(uint64_t id, StatusCode status, uint64_t duration_ticks) {
-  Histogram* histogram = nullptr;
-  {
-    LockGuard lock(mu_);
-    if (id == 0 || id >= next_id_) {
-      return;
-    }
-    const size_t slot = static_cast<size_t>((id - 1) % capacity_);
-    if (slot >= ring_.size() || ring_[slot].id != id) {
-      return;  // overwritten by wraparound; the lifetime counter still covers it
-    }
-    SpanRecord& record = ring_[slot];
-    record.status = status;
-    record.duration_ticks = duration_ticks;
-    record.open = false;
-    if (metrics_ != nullptr) {
-      auto it = histogram_cache_.find(record.name);
-      if (it == histogram_cache_.end()) {
-        it = histogram_cache_
-                 .emplace(record.name,
-                          &metrics_->histogram("span." + record.name + ".ticks"))
-                 .first;
-      }
-      histogram = it->second;
-    }
+void SpanTree::EndSpan(StartedSpan span, StatusCode status, uint64_t duration_ticks,
+                       uint64_t shard, int32_t disk) {
+  if (span.histogram != nullptr) {
+    span.histogram->Record(duration_ticks);
   }
-  if (histogram != nullptr) {
-    histogram->Record(duration_ticks);
+  LockGuard lock(mu_);
+  if (span.id == 0 || span.id >= next_id_) {
+    return;
   }
+  const size_t slot = static_cast<size_t>((span.id - 1) % capacity_);
+  if (slot >= ring_.size() || ring_[slot].id != span.id) {
+    return;  // overwritten by wraparound; the lifetime counter still covers it
+  }
+  SpanRecord& record = ring_[slot];
+  record.status = status;
+  record.duration_ticks = duration_ticks;
+  record.shard = shard;
+  record.disk = disk;
+  record.open = false;
 }
 
 std::vector<SpanRecord> SpanTree::SpansLocked() const {
@@ -125,13 +127,14 @@ std::vector<SpanRecord> SpanTree::Spans() const {
 
 std::vector<SpanRecord> SpanTree::Tree(uint64_t root) const {
   std::vector<SpanRecord> all = Spans();
-  std::vector<SpanRecord> out;
-  for (SpanRecord& record : all) {
-    if (record.root == root) {
-      out.push_back(std::move(record));
-    }
-  }
-  return out;
+  std::erase_if(all, [root](const SpanRecord& record) { return record.root != root; });
+  return all;
+}
+
+std::vector<SpanRecord> SpanTree::Roots() const {
+  std::vector<SpanRecord> all = Spans();
+  std::erase_if(all, [](const SpanRecord& record) { return record.id != record.root; });
+  return all;
 }
 
 uint64_t SpanTree::total_started() const {
@@ -189,6 +192,10 @@ void SpanRecordToJson(const SpanRecord& record, JsonWriter& w) {
   w.Key("start_ticks").UInt(record.start_ticks);
   w.Key("duration_ticks").UInt(record.duration_ticks);
   w.Key("status").String(StatusCodeName(record.status));
+  if (record.shard != 0 || record.disk >= 0) {
+    w.Key("shard").UInt(record.shard);
+    w.Key("disk").Int(record.disk);
+  }
   w.Key("open").Bool(record.open);
   w.EndObject();
 }
@@ -218,8 +225,8 @@ Span::Span(SpanTree* tree, const TickSource* clock, std::string_view name, uint6
     return;
   }
   start_ = clock_ != nullptr ? clock_->SpanTicksNow() : 0;
-  id_ = tree_->StartSpan(name, parent, root, start_);
-  root_ = root == 0 ? id_ : root;
+  started_ = tree_->StartSpan(name, parent, root, start_);
+  root_ = root == 0 ? started_.id : root;
   open_ = true;
 }
 
@@ -229,33 +236,24 @@ Span::Span(SpanTree* tree, const TickSource* clock, std::string_view name, Trace
     return;
   }
   start_ = clock_ != nullptr ? clock_->SpanTicksNow() : 0;
-  id_ = tree_->StartRemoteSpan(name, remote, start_);
-  root_ = id_;  // locally rooted; the remote linkage lives in the record
+  started_ = tree_->StartRemoteSpan(name, remote, start_);
+  root_ = started_.id;  // locally rooted; the remote linkage lives in the record
   open_ = true;
 }
 
-Span::Span(Span&& other) noexcept
-    : tree_(other.tree_),
-      clock_(other.clock_),
-      id_(other.id_),
-      root_(other.root_),
-      start_(other.start_),
-      ticks_(other.ticks_),
-      status_(other.status_),
-      open_(other.open_) {
-  other.tree_ = nullptr;
-  other.open_ = false;
-}
+Span::Span(Span&& other) noexcept { *this = std::move(other); }
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     End();
     tree_ = other.tree_;
     clock_ = other.clock_;
-    id_ = other.id_;
+    started_ = other.started_;
     root_ = other.root_;
     start_ = other.start_;
     ticks_ = other.ticks_;
+    shard_ = other.shard_;
+    disk_ = other.disk_;
     status_ = other.status_;
     open_ = other.open_;
     other.tree_ = nullptr;
@@ -276,7 +274,7 @@ uint64_t Span::End() {
     duration += clock_->SpanTicksNow() - start_;
   }
   ticks_ = duration;
-  tree_->EndSpan(id_, status_, duration);
+  tree_->EndSpan(started_, status_, duration, shard_, disk_);
   return duration;
 }
 

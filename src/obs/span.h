@@ -1,7 +1,9 @@
-// Hierarchical causal span tracing — the "where inside the node" side of the
-// observability layer, complementing the flat per-RPC TraceRing.
+// Hierarchical causal span tracing — the per-RPC event model of the observability
+// layer, complementing the "how much" side in metrics.h.
 //
-// The node server opens one *root* span per RPC; every layer the request flows
+// The node server opens one *root* span per RPC, and that root is the operation's
+// event: its name is the RPC kind, and it records the shard and disk the RPC
+// addressed plus its final status and ticks. Every layer the request flows
 // through (ShardStore, LsmIndex, ChunkStore, ExtentManager, BufferCache, IoScheduler)
 // records *child* spans via a SpanScope handed down the call chain. The default
 // SpanScope is inactive, so non-traced callers (component unit tests, direct store
@@ -13,12 +15,12 @@
 // roots that fan out over several per-disk clocks) accumulate ticks explicitly via
 // AddTicks.
 //
-// Like MetricRegistry and TraceRing, the tree's lock is a leaf-mode ss::Mutex:
-// recording a span must never become a model-checker scheduling point, and the whole
-// layer stays clean under TSan — yet the lock remains visible to the lock-order
-// witness (EndSpan calls into the metric registry under it, so the nesting is
-// checked). Retention is bounded (a ring keyed by span id), with total_started()
-// keeping the lifetime count across wraparound.
+// Like MetricRegistry, the tree's lock is a leaf-mode ss::Mutex: recording a span
+// must never become a model-checker scheduling point, and the whole layer stays clean
+// under TSan — yet the lock remains visible to the lock-order witness (StartSpan
+// calls into the metric registry under it, so the nesting is checked). Retention is
+// bounded (a ring keyed by span id), with total_started() and the per-name duration
+// histograms keeping lifetime counts across wraparound.
 
 #ifndef SS_OBS_SPAN_H_
 #define SS_OBS_SPAN_H_
@@ -71,9 +73,22 @@ struct SpanRecord {
   uint64_t start_ticks = 0;
   uint64_t duration_ticks = 0;
   StatusCode status = StatusCode::kOk;
+  // What an RPC root span addressed: the shard (0 for whole-disk operations) and the
+  // disk it touched or routed to (-1 if none). Child spans leave both unset.
+  uint64_t shard = 0;
+  int32_t disk = -1;
   bool open = true;  // still running (EndSpan not yet called)
 
   std::string ToString() const;
+};
+
+// What StartSpan hands back for the matching EndSpan: the span's id and the
+// "span.<name>.ticks" histogram its duration feeds (null without a registry).
+// Resolving the histogram at start means EndSpan records the sample even when
+// wraparound has overwritten the span's record in the meantime.
+struct StartedSpan {
+  uint64_t id = 0;
+  Histogram* histogram = nullptr;
 };
 
 // Bounded store of span records with parent/child causality. Thread-safe; recording
@@ -89,18 +104,23 @@ class SpanTree {
   SpanTree(const SpanTree&) = delete;
   SpanTree& operator=(const SpanTree&) = delete;
 
-  // Starts a span and returns its id. `root` 0 means the span is its own root.
-  uint64_t StartSpan(std::string_view name, uint64_t parent = 0, uint64_t root = 0,
-                     uint64_t start_ticks = 0);
+  // Starts a span. `root` 0 means the span is its own root.
+  StartedSpan StartSpan(std::string_view name, uint64_t parent = 0, uint64_t root = 0,
+                        uint64_t start_ticks = 0);
   // Starts a *locally rooted* span that records `remote` as its causal origin in
   // another tree (the sender's). Children chain under it with plain StartSpan.
-  uint64_t StartRemoteSpan(std::string_view name, TraceContext remote,
-                           uint64_t start_ticks = 0);
-  // Ends a span (no-op if the record was already overwritten by wraparound).
-  void EndSpan(uint64_t id, StatusCode status, uint64_t duration_ticks);
+  StartedSpan StartRemoteSpan(std::string_view name, TraceContext remote,
+                              uint64_t start_ticks = 0);
+  // Ends a span: records its duration into the span's histogram, and stamps status,
+  // duration, shard and disk on its record unless wraparound already overwrote it.
+  void EndSpan(StartedSpan span, StatusCode status, uint64_t duration_ticks,
+               uint64_t shard = 0, int32_t disk = -1);
 
   // Retained records, ascending id order. At most capacity() entries.
   std::vector<SpanRecord> Spans() const;
+  // Retained root spans (local roots, adopted remote roots included), ascending id
+  // order: one record per retained RPC.
+  std::vector<SpanRecord> Roots() const;
   // Retained records belonging to the tree rooted at `root`, ascending id order.
   std::vector<SpanRecord> Tree(uint64_t root) const;
   // Ids of retained local roots whose remote_root is `remote_root`, ascending — the
@@ -119,16 +139,17 @@ class SpanTree {
 
  private:
   std::vector<SpanRecord> SpansLocked() const;  // caller holds mu_
-  uint64_t InsertLocked(SpanRecord record);     // caller holds mu_; assigns the id
+  // Caller holds mu_; assigns the id and resolves the duration histogram.
+  StartedSpan InsertLocked(SpanRecord record);
 
-  // Ranked below the metric-registry shards: EndSpan publishes the duration
+  // Ranked below the metric-registry shards: StartSpan resolves the duration
   // histogram while holding this lock.
   mutable Mutex mu_{MutexAttr{"obs.span", lockrank::kObs, /*leaf=*/true}};
   const size_t capacity_;
   MetricRegistry* metrics_ = nullptr;
   std::vector<SpanRecord> ring_;  // slot (id-1) % capacity_
   uint64_t next_id_ = 1;
-  // Histogram lookup cache: EndSpan is on the per-page hot path, so the
+  // Histogram lookup cache: spans open on the per-page hot path, so the
   // "span.<name>.ticks" name is built (and the registry searched) once per distinct
   // span name, not once per span. Guarded by mu_; Histogram addresses are stable.
   std::map<std::string, Histogram*, std::less<>> histogram_cache_;
@@ -176,6 +197,9 @@ class Span {
   uint64_t End();
 
   void set_status(StatusCode status) { status_ = status; }
+  // What an RPC root span addressed (see SpanRecord::shard/disk), stamped at End.
+  void set_shard(uint64_t shard) { shard_ = shard; }
+  void set_disk(int32_t disk) { disk_ = disk; }
   // Explicit tick contribution for spans without a clock (e.g. batch roots summing
   // per-disk clock deltas).
   void AddTicks(uint64_t ticks) { ticks_ += ticks; }
@@ -183,20 +207,22 @@ class Span {
   uint64_t ticks() const { return ticks_; }
 
   bool active() const { return tree_ != nullptr; }
-  uint64_t id() const { return id_; }
+  uint64_t id() const { return started_.id; }
   uint64_t root() const { return root_; }
   // Scope for children of this span.
   SpanScope scope() const {
-    return active() ? SpanScope{tree_, clock_, id_, root_} : SpanScope{};
+    return active() ? SpanScope{tree_, clock_, started_.id, root_} : SpanScope{};
   }
 
  private:
   SpanTree* tree_ = nullptr;
   const TickSource* clock_ = nullptr;
-  uint64_t id_ = 0;
+  StartedSpan started_;
   uint64_t root_ = 0;
   uint64_t start_ = 0;
   uint64_t ticks_ = 0;
+  uint64_t shard_ = 0;
+  int32_t disk_ = -1;
   StatusCode status_ = StatusCode::kOk;
   bool open_ = false;
 };

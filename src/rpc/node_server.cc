@@ -11,7 +11,6 @@ namespace ss {
 
 NodeServer::NodeServer(NodeServerOptions options)
     : options_(options),
-      trace_(options.trace_capacity),
       spans_(options.span_capacity, &metrics_) {
   put_ok_ = &metrics_.counter("rpc.put.ok");
   put_err_ = &metrics_.counter("rpc.put.err");
@@ -148,12 +147,13 @@ void NodeServer::AbsorbTrackerHealth(int disk, ShardStore& target) {
 
 Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remote) {
   Span span = RootSpan("rpc.put", remote);
+  span.set_shard(id);
   int disk = -1;
   auto routed = Route(id, /*mutating=*/true, &disk);
+  span.set_disk(disk);
   if (!routed.ok()) {
     put_err_->Increment();
     span.set_status(routed.code());
-    trace_.Record(TraceKind::kPut, id, disk, routed.code(), 0, span.id());
     return routed.status();
   }
   std::shared_ptr<ShardStore> target = std::move(routed).value();
@@ -163,8 +163,6 @@ Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remot
   const uint64_t ticks = target->extents().VirtualNow() - start_ticks;
   span.AddTicks(ticks);
   op_ticks_->Record(ticks);
-  trace_.Record(TraceKind::kPut, id, disk, dep_or.ok() ? StatusCode::kOk : dep_or.code(),
-                ticks, span.id());
   if (!dep_or.ok()) {
     put_err_->Increment();
     span.set_status(dep_or.code());
@@ -200,12 +198,13 @@ Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remot
 
 Result<GetResult> NodeServer::Get(ShardId id, TraceContext remote) {
   Span span = RootSpan("rpc.get", remote);
+  span.set_shard(id);
   int disk = -1;
   auto routed = Route(id, /*mutating=*/false, &disk);
+  span.set_disk(disk);
   if (!routed.ok()) {
     get_err_->Increment();
     span.set_status(routed.code());
-    trace_.Record(TraceKind::kGet, id, disk, routed.code(), 0, span.id());
     return routed.status();
   }
   std::shared_ptr<ShardStore> target = std::move(routed).value();
@@ -218,8 +217,6 @@ Result<GetResult> NodeServer::Get(ShardId id, TraceContext remote) {
     span.set_status(got.code());
   }
   op_ticks_->Record(ticks);
-  trace_.Record(TraceKind::kGet, id, disk, got.ok() ? StatusCode::kOk : got.code(), ticks,
-                span.id());
   (got.ok() ? get_ok_ : get_err_)->Increment();
   if (!got.ok()) {
     return got.status();
@@ -229,6 +226,7 @@ Result<GetResult> NodeServer::Get(ShardId id, TraceContext remote) {
 
 Result<ScanResult> NodeServer::Scan(ShardId start, ShardId end) {
   Span span = RootSpan("rpc.scan");
+  span.set_shard(start);
   // Snapshot the scannable stores and the window's directory slice under one mu_
   // hold. Reads are allowed on degraded disks (same policy as Get's routing); failed
   // and out-of-service disks are invisible to scans, like they are to ListShards.
@@ -256,8 +254,8 @@ Result<ScanResult> NodeServer::Scan(ShardId start, ShardId end) {
     if (!items_or.ok()) {
       span.AddTicks(ticks);
       span.set_status(items_or.code());
+      span.set_disk(disk);
       op_ticks_->Record(ticks);
-      trace_.Record(TraceKind::kScan, start, disk, items_or.code(), ticks, span.id());
       scan_err_->Increment();
       return items_or.status();
     }
@@ -284,19 +282,19 @@ Result<ScanResult> NodeServer::Scan(ShardId start, ShardId end) {
   }
   span.AddTicks(ticks);
   op_ticks_->Record(ticks);
-  trace_.Record(TraceKind::kScan, start, -1, StatusCode::kOk, ticks, span.id());
   scan_ok_->Increment();
   return result;
 }
 
 Result<DeleteResult> NodeServer::Delete(ShardId id, TraceContext remote) {
   Span span = RootSpan("rpc.delete", remote);
+  span.set_shard(id);
   int disk = -1;
   auto routed = Route(id, /*mutating=*/true, &disk);
+  span.set_disk(disk);
   if (!routed.ok()) {
     delete_err_->Increment();
     span.set_status(routed.code());
-    trace_.Record(TraceKind::kDelete, id, disk, routed.code(), 0, span.id());
     return routed.status();
   }
   std::shared_ptr<ShardStore> target = std::move(routed).value();
@@ -306,8 +304,6 @@ Result<DeleteResult> NodeServer::Delete(ShardId id, TraceContext remote) {
   const uint64_t ticks = target->extents().VirtualNow() - start_ticks;
   span.AddTicks(ticks);
   op_ticks_->Record(ticks);
-  trace_.Record(TraceKind::kDelete, id, disk,
-                dep_or.ok() ? StatusCode::kOk : dep_or.code(), ticks, span.id());
   if (!dep_or.ok()) {
     delete_err_->Increment();
     span.set_status(dep_or.code());
@@ -344,6 +340,7 @@ BatchResult NodeServer::PutBatch(const std::vector<std::pair<ShardId, Bytes>>& i
   BatchResult out;
   out.items.resize(items.size());
   out.trace_id = span.id();
+  std::vector<StartedSpan> item_spans(items.size());
 
   // Route and admission-check every item individually (same policy as Put), grouping
   // the admitted ones into per-disk sub-batches. Each item gets a child span under the
@@ -356,14 +353,15 @@ BatchResult NodeServer::PutBatch(const std::vector<std::pair<ShardId, Bytes>>& i
   std::map<int, Group> groups;
   for (size_t i = 0; i < items.size(); ++i) {
     out.items[i].id = items[i].first;
-    out.items[i].span_id = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
+    item_spans[i] = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
+    out.items[i].span_id = item_spans[i].id;
     int disk = -1;
     auto routed = Route(items[i].first, /*mutating=*/true, &disk);
     out.items[i].disk = disk;
     if (!routed.ok()) {
       out.items[i].status = routed.status();
       batch_item_err_->Increment();
-      spans_.EndSpan(out.items[i].span_id, routed.code(), 0);
+      spans_.EndSpan(item_spans[i], routed.code(), 0);
       continue;
     }
     Group& group = groups[disk];
@@ -391,7 +389,7 @@ BatchResult NodeServer::PutBatch(const std::vector<std::pair<ShardId, Bytes>>& i
       const size_t i = group.indices[k];
       out.items[i].status = applied.items[k].status;
       out.items[i].dep = applied.items[k].dep;
-      spans_.EndSpan(out.items[i].span_id, applied.items[k].status.code(), 0);
+      spans_.EndSpan(item_spans[i], applied.items[k].status.code(), 0);
       if (!applied.items[k].status.ok()) {
         batch_item_err_->Increment();
         continue;
@@ -411,9 +409,6 @@ BatchResult NodeServer::PutBatch(const std::vector<std::pair<ShardId, Bytes>>& i
   if (!out.all_ok()) {
     span.set_status(StatusCode::kUnavailable);
   }
-  trace_.Record(TraceKind::kPutBatch, items.size(), -1,
-                out.all_ok() ? StatusCode::kOk : StatusCode::kUnavailable, span.ticks(),
-                span.id());
   return out;
 }
 
@@ -423,6 +418,7 @@ BatchResult NodeServer::DeleteBatch(const std::vector<ShardId>& ids) {
   BatchResult out;
   out.items.resize(ids.size());
   out.trace_id = span.id();
+  std::vector<StartedSpan> item_spans(ids.size());
   struct Group {
     std::shared_ptr<ShardStore> store;
     std::vector<size_t> indices;
@@ -431,14 +427,15 @@ BatchResult NodeServer::DeleteBatch(const std::vector<ShardId>& ids) {
   std::map<int, Group> groups;
   for (size_t i = 0; i < ids.size(); ++i) {
     out.items[i].id = ids[i];
-    out.items[i].span_id = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
+    item_spans[i] = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
+    out.items[i].span_id = item_spans[i].id;
     int disk = -1;
     auto routed = Route(ids[i], /*mutating=*/true, &disk);
     out.items[i].disk = disk;
     if (!routed.ok()) {
       out.items[i].status = routed.status();
       batch_item_err_->Increment();
-      spans_.EndSpan(out.items[i].span_id, routed.code(), 0);
+      spans_.EndSpan(item_spans[i], routed.code(), 0);
       continue;
     }
     Group& group = groups[disk];
@@ -459,7 +456,7 @@ BatchResult NodeServer::DeleteBatch(const std::vector<ShardId>& ids) {
       const size_t i = group.indices[k];
       out.items[i].status = applied.items[k].status;
       out.items[i].dep = applied.items[k].dep;
-      spans_.EndSpan(out.items[i].span_id, applied.items[k].status.code(), 0);
+      spans_.EndSpan(item_spans[i], applied.items[k].status.code(), 0);
       if (!applied.items[k].status.ok()) {
         batch_item_err_->Increment();
         continue;
@@ -482,9 +479,6 @@ BatchResult NodeServer::DeleteBatch(const std::vector<ShardId>& ids) {
   if (!out.all_ok()) {
     span.set_status(StatusCode::kUnavailable);
   }
-  trace_.Record(TraceKind::kDeleteBatch, ids.size(), -1,
-                out.all_ok() ? StatusCode::kOk : StatusCode::kUnavailable, span.ticks(),
-                span.id());
   return out;
 }
 
@@ -550,6 +544,7 @@ Status NodeServer::RemoveDiskFromService(int disk) {
     target = stores_[disk];
   }
   Span span = RootSpan("rpc.remove_disk");
+  span.set_disk(disk);
   if (BugEnabled(SeededBug::kDiskRemovalLosesShards)) {
     // Buggy path: the store is discarded without a clean shutdown, dropping the
     // unflushed memtable and pending writebacks — "shards could be lost if a disk was
@@ -567,7 +562,6 @@ Status NodeServer::RemoveDiskFromService(int disk) {
   LockGuard lock(mu_);
   in_service_[disk] = false;
   stores_[disk].reset();
-  trace_.Record(TraceKind::kRemoveDisk, 0, disk, StatusCode::kOk, span.ticks(), span.id());
   return Status::Ok();
 }
 
@@ -582,6 +576,7 @@ Status NodeServer::RestoreDisk(int disk) {
     }
   }
   Span span = RootSpan("rpc.restore_disk");
+  span.set_disk(disk);
   SS_ASSIGN_OR_RETURN(std::unique_ptr<ShardStore> reopened,
                       ShardStore::Open(disks_[disk].get(), options_.store));
   std::shared_ptr<ShardStore> shared(std::move(reopened));
@@ -594,7 +589,6 @@ Status NodeServer::RestoreDisk(int disk) {
   for (ShardId id : ids) {
     directory_[id] = disk;
   }
-  trace_.Record(TraceKind::kRestoreDisk, 0, disk, StatusCode::kOk, 0, span.id());
   return Status::Ok();
 }
 
@@ -603,6 +597,8 @@ Status NodeServer::MigrateShard(ShardId id, int to_disk) {
     return Status::InvalidArgument("no such disk");
   }
   Span span = RootSpan("rpc.migrate_shard");
+  span.set_shard(id);
+  span.set_disk(to_disk);
   LockGuard control(control_mu_);
   Status status = MigrateShardLocked(id, to_disk, span);
   span.set_status(status.code());
@@ -635,11 +631,9 @@ Status NodeServer::MigrateShardLocked(ShardId id, int to_disk, Span& span) {
   const uint64_t src_start = source->extents().VirtualNow();
   const uint64_t dst_start = target->extents().VirtualNow();
   const SpanScope scope = span.scope();
-  uint64_t call_ticks = 0;  // this migration only (the span may cover an evacuation)
   auto add_ticks = [&] {
-    call_ticks = (source->extents().VirtualNow() - src_start) +
-                 (target->extents().VirtualNow() - dst_start);
-    span.AddTicks(call_ticks);
+    span.AddTicks((source->extents().VirtualNow() - src_start) +
+                  (target->extents().VirtualNow() - dst_start));
   };
   auto value_or = source->Get(id, scope);
   if (!value_or.ok()) {
@@ -685,8 +679,6 @@ Status NodeServer::MigrateShardLocked(ShardId id, int to_disk, Span& span) {
   add_ticks();
   SS_COVER("rpc.migrate_shard");
   migrations_->Increment();
-  trace_.Record(TraceKind::kMigrateShard, id, to_disk, StatusCode::kOk, call_ticks,
-                span.id());
   return Status::Ok();
 }
 
@@ -712,7 +704,7 @@ Status NodeServer::MarkDiskDegraded(int disk) {
   health_[disk] = DiskHealth::kDegraded;
   SS_COVER("rpc.mark_degraded");
   Span span = RootSpan("rpc.mark_degraded");
-  trace_.Record(TraceKind::kMarkDegraded, 0, disk, StatusCode::kOk, 0, span.id());
+  span.set_disk(disk);
   return Status::Ok();
 }
 
@@ -727,7 +719,7 @@ Status NodeServer::ResetDiskHealth(int disk) {
   health_[disk] = DiskHealth::kHealthy;
   stores_[disk]->extents().health().Reset();
   Span span = RootSpan("rpc.reset_health");
-  trace_.Record(TraceKind::kResetHealth, 0, disk, StatusCode::kOk, 0, span.id());
+  span.set_disk(disk);
   return Status::Ok();
 }
 
@@ -738,6 +730,7 @@ Status NodeServer::EvacuateDisk(int disk) {
   // One root for the whole evacuation: each shard's migration attaches its store-layer
   // children here, so the tree shows the full drain.
   Span span = RootSpan("rpc.evacuate_disk");
+  span.set_disk(disk);
   LockGuard control(control_mu_);
   std::shared_ptr<ShardStore> source;
   {
@@ -793,7 +786,6 @@ Status NodeServer::EvacuateDisk(int disk) {
   }
   SS_COVER("rpc.evacuate_disk");
   evacuations_->Increment();
-  trace_.Record(TraceKind::kEvacuateDisk, 0, disk, StatusCode::kOk, span.ticks(), span.id());
   return Status::Ok();
 }
 
@@ -849,7 +841,7 @@ Status NodeServer::CrashAndRecoverDisk(int disk, uint64_t crash_seed) {
   SS_COVER("rpc.crash_recover_disk");
   crash_recoveries_->Increment();
   Span span = RootSpan("rpc.crash_recover_disk");
-  trace_.Record(TraceKind::kCrashRecoverDisk, 0, disk, StatusCode::kOk, 0, span.id());
+  span.set_disk(disk);
   return Status::Ok();
 }
 
@@ -917,7 +909,6 @@ Status NodeServer::FlushAllDisks() {
       }
     }
   }
-  trace_.Record(TraceKind::kFlush, 0, -1, StatusCode::kOk, span.ticks(), span.id());
   return Status::Ok();
 }
 
@@ -946,7 +937,18 @@ MetricsSnapshot NodeServer::MetricsSnapshot() const {
   return out;
 }
 
-std::string NodeServer::DumpMetrics() const { return MetricsSnapshot().ToString() + trace_.ToString(); }
+std::string NodeServer::DumpMetrics() const {
+  constexpr size_t kMaxRoots = 16;
+  const std::vector<SpanRecord> roots = spans_.Roots();
+  const size_t first = roots.size() > kMaxRoots ? roots.size() - kMaxRoots : 0;
+  std::string out = MetricsSnapshot().ToString() + "== root spans (last " +
+                    std::to_string(roots.size() - first) + " of " +
+                    std::to_string(roots.size()) + " retained) ==\n";
+  for (size_t i = first; i < roots.size(); ++i) {
+    out += "  " + roots[i].ToString() + "\n";
+  }
+  return out;
+}
 
 std::string NodeServer::DumpMetricsJson() const {
   JsonWriter w;
@@ -955,12 +957,6 @@ std::string NodeServer::DumpMetricsJson() const {
   w.Raw(MetricsSnapshot().ToJson());
   w.Key("spans");
   w.Raw(spans_.ToJson());
-  w.Key("trace");
-  w.BeginArray();
-  for (const TraceEvent& event : trace_.Events()) {
-    w.Raw(event.ToJson());
-  }
-  w.EndArray();
   w.EndObject();
   return w.str();
 }

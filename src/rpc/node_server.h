@@ -29,7 +29,6 @@
 #include "src/kv/shard_store.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 
 namespace ss {
 
@@ -42,8 +41,6 @@ struct NodeServerOptions {
   // seam — stores, routing, crash recovery, conformance oracles — is backend-blind.
   DiskBackendConfig disk_backend;
   ShardStoreOptions store;
-  // Retained trace events (see TraceRing); lifetime totals are unaffected.
-  size_t trace_capacity = TraceRing::kDefaultCapacity;
   // Retained span records (see SpanTree); lifetime totals are unaffected.
   size_t span_capacity = SpanTree::kDefaultCapacity;
   // Regression knob: restores the pre-fix Put/Delete routing commit (capture the
@@ -57,42 +54,26 @@ struct NodeServerOptions {
 // Typed request-plane envelopes: every mutating RPC returns the operation's durability
 // dependency plus the routing and tracing context the node resolved for it — the disk
 // the write landed on and the id of the operation's root span in the node's SpanTree
-// (SpanTree::Tree(trace_id) yields the full causal tree; the flat trace-ring event
-// carries the same id in its `root_span` field).
-// The implicit Dependency conversion keeps pre-envelope call sites
-// (`Dependency dep = node->Put(...).value()`) compiling unchanged.
+// (SpanTree::Tree(trace_id) yields the full causal tree; the root record itself is
+// the operation's event, carrying its shard, disk and status).
 struct PutResult {
   Dependency dep;
   int disk = -1;
   uint64_t trace_id = 0;
-
-  operator Dependency() const { return dep; }  // NOLINT(google-explicit-constructor)
-  const Dependency& dependency() const { return dep; }
 };
 
 struct DeleteResult {
   Dependency dep;
   int disk = -1;
   uint64_t trace_id = 0;
-
-  operator Dependency() const { return dep; }  // NOLINT(google-explicit-constructor)
-  const Dependency& dependency() const { return dep; }
 };
 
-// Read envelope, completing the typed-envelope surface: the assembled value plus the
-// disk the read was served from and the root span id. The implicit Bytes conversion
-// (and the Bytes comparisons) keep pre-envelope call sites
-// (`Bytes v = node->Get(id).value()`) compiling unchanged.
+// Read envelope: the assembled value plus the disk the read was served from and the
+// root span id.
 struct GetResult {
   Bytes value;
   int disk = -1;
   uint64_t trace_id = 0;
-
-  operator const Bytes&() const { return value; }  // NOLINT(google-explicit-constructor)
-  friend bool operator==(const GetResult& a, const Bytes& b) { return a.value == b; }
-  friend bool operator==(const Bytes& a, const GetResult& b) { return a == b.value; }
-  friend bool operator!=(const GetResult& a, const Bytes& b) { return !(a == b); }
-  friend bool operator!=(const Bytes& a, const GetResult& b) { return !(a == b); }
 };
 
 // Result envelope of a range scan: the merged, key-ordered live shards in the window
@@ -218,16 +199,15 @@ class NodeServer {
   // rpc.disk.<d>.health / .in_service gauges mixed in. Harness oracles and benches
   // assert on deltas between two snapshots.
   ss::MetricsSnapshot MetricsSnapshot() const;
-  // Human-readable snapshot + the tail of the trace ring.
+  // Human-readable snapshot + the newest retained root spans (one per RPC).
   std::string DumpMetrics() const;
-  // Machine-readable node state: {"metrics": ..., "spans": [...], "trace": [...]}.
+  // Machine-readable node state: {"metrics": ..., "spans": [...]}.
   // This is the exit the flight recorder and external tooling scrape.
   std::string DumpMetricsJson() const;
   MetricRegistry& metrics() { return metrics_; }
-  const TraceRing& trace() const { return trace_; }
-  // The node-wide span tree: every request-plane and control-plane root span plus the
-  // store-layer children recorded under it. Span duration histograms
-  // ("span.<name>.ticks") land in metrics().
+  // The node-wide span tree: one root span per request-plane and control-plane RPC
+  // (its kind, shard, disk, status and ticks) plus the store-layer children recorded
+  // under it. Span duration histograms ("span.<name>.ticks") land in metrics().
   SpanTree& spans() { return spans_; }
   const SpanTree& spans() const { return spans_; }
 
@@ -282,7 +262,6 @@ class NodeServer {
   // Node-level observability. Leaf-mode locks / relaxed atomics inside: recording is
   // never a model-checker scheduling point.
   MetricRegistry metrics_;
-  TraceRing trace_;
   SpanTree spans_;
   Counter* put_ok_;
   Counter* put_err_;

@@ -325,20 +325,23 @@ TEST_F(NodeBatchTest, PutBatchRoutesPerItemAndReportsEnvelopes) {
     EXPECT_EQ(result.items[i].id, items[i].first);
     EXPECT_EQ(result.items[i].disk, node_->DiskFor(items[i].first));
   }
-  // One trace event for the whole batch, carrying the item count (read before the
-  // verification Gets below append their own events).
-  std::vector<TraceEvent> events = node_->trace().Events();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().kind, TraceKind::kPutBatch);
-  EXPECT_EQ(events.back().shard, items.size());
-  // The envelope's trace id is the batch's root span id; the flat trace event links
-  // back to it through root_span.
-  EXPECT_EQ(events.back().root_span, result.trace_id);
+  // One root span for the whole batch (read before the verification Gets below open
+  // their own), with one rpc.batch.item child per item. The envelope's trace id is
+  // the batch's root span id.
+  std::vector<SpanRecord> roots = node_->spans().Roots();
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(roots.back().name, "rpc.put_batch");
+  EXPECT_EQ(roots.back().id, result.trace_id);
+  size_t item_spans = 0;
+  for (const SpanRecord& record : node_->spans().Tree(result.trace_id)) {
+    item_spans += record.name == "rpc.batch.item" ? 1 : 0;
+  }
+  EXPECT_EQ(item_spans, items.size());
 
   for (const auto& [id, value] : items) {
     auto got = node_->Get(id);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), value);
+    EXPECT_EQ(got.value().value, value);
   }
 
   EXPECT_EQ(NodeCounter("rpc.batch.puts"), 1u);
@@ -419,10 +422,10 @@ TEST_F(NodeBatchTest, PutBatchFailsOnlyItemsRoutedToSickDisks) {
   // The failed item's shard is untouched; the healthy item committed.
   auto got1 = node_->Get(1);
   ASSERT_TRUE(got1.ok());
-  EXPECT_EQ(got1.value(), Value(50, 1));
+  EXPECT_EQ(got1.value().value, Value(50, 1));
   auto got2 = node_->Get(healthy_key);
   ASSERT_TRUE(got2.ok());
-  EXPECT_EQ(got2.value(), Value(80, 4));
+  EXPECT_EQ(got2.value().value, Value(80, 4));
 }
 
 TEST_F(NodeBatchTest, DeleteBatchRemovesAllRoutedItems) {
@@ -434,9 +437,9 @@ TEST_F(NodeBatchTest, DeleteBatchRemovesAllRoutedItems) {
   BatchResult result = node_->DeleteBatch(ids);
   ASSERT_EQ(result.items.size(), ids.size());
   EXPECT_TRUE(result.all_ok());
-  std::vector<TraceEvent> events = node_->trace().Events();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().kind, TraceKind::kDeleteBatch);
+  std::vector<SpanRecord> roots = node_->spans().Roots();
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(roots.back().name, "rpc.delete_batch");
   for (ShardId id : ids) {
     EXPECT_EQ(node_->Get(id).code(), StatusCode::kNotFound);
   }
@@ -449,17 +452,13 @@ TEST_F(NodeBatchTest, TypedEnvelopesCarryRoutingAndTraceContext) {
   ASSERT_TRUE(put.ok());
   PutResult envelope = put.value();
   EXPECT_EQ(envelope.disk, node_->DiskFor(7));
-  std::vector<TraceEvent> events = node_->trace().Events();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().root_span, envelope.trace_id);
-  EXPECT_EQ(events.back().kind, TraceKind::kPut);
+  std::vector<SpanRecord> roots = node_->spans().Roots();
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(roots.back().id, envelope.trace_id);
+  EXPECT_EQ(roots.back().name, "rpc.put");
 
-  // Compatibility: the envelope still converts to its dependency.
-  Dependency implicit = put.value();
-  const Dependency& named = envelope.dependency();
   ASSERT_TRUE(node_->FlushAllDisks().ok());
-  EXPECT_TRUE(implicit.IsPersistent());
-  EXPECT_TRUE(named.IsPersistent());
+  EXPECT_TRUE(envelope.dep.IsPersistent());
 
   auto del = node_->Delete(7);
   ASSERT_TRUE(del.ok());

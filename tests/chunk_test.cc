@@ -233,7 +233,7 @@ TEST_F(ChunkStoreTest, ReclaimAbortsOnReadError) {
 }
 
 TEST_F(ChunkStoreTest, Bug5DropsChunkOnReadError) {
-  ScopedSeededBug bug(SeededBug::kReclaimForgetsChunkOnReadError);
+  ScopedBug bug(SeededBug::kReclaimForgetsChunkOnReadError);
   MapReclaimClient client;
   const Locator live = PutAndUnpin(BytesOf("live"));
   client.refs[live] = BytesOf("live");

@@ -42,13 +42,13 @@ TEST_F(DiskFailureDomainTest, DegradedDiskIsReadOnly) {
   ASSERT_TRUE(node_->MarkDiskDegraded(0).ok());
   EXPECT_EQ(node_->Health(0), DiskHealth::kDegraded);
   // Reads still serve; mutations are refused.
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("before"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("before"));
   EXPECT_EQ(node_->Put(id, BytesOf("after")).code(), StatusCode::kUnavailable);
   EXPECT_EQ(node_->Delete(id).code(), StatusCode::kUnavailable);
   // Back to healthy: mutations work again.
   ASSERT_TRUE(node_->ResetDiskHealth(0).ok());
   EXPECT_TRUE(node_->Put(id, BytesOf("after")).ok());
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("after"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("after"));
 }
 
 TEST_F(DiskFailureDomainTest, EvacuateDegradedDiskKeepsServingEveryShard) {
@@ -63,7 +63,7 @@ TEST_F(DiskFailureDomainTest, EvacuateDegradedDiskKeepsServingEveryShard) {
   // Nothing routes to the degraded disk any more and every shard still serves.
   for (const auto& [id, value] : contents) {
     EXPECT_NE(node_->DiskFor(id), 0) << "shard " << id << " left on the degraded disk";
-    EXPECT_EQ(node_->Get(id).value(), value);
+    EXPECT_EQ(node_->Get(id).value().value, value);
   }
   // The drained disk's store is empty.
   EXPECT_EQ(node_->store(0)->List().value().size(), 0u);
@@ -86,7 +86,7 @@ TEST_F(DiskFailureDomainTest, PermanentFaultFailsHealthAndGatesTheDisk) {
   // Repair: clear the faults, reset health — data was never lost.
   node_->disk(1).fault_injector().Clear();
   ASSERT_TRUE(node_->ResetDiskHealth(1).ok());
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("v"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("v"));
 }
 
 TEST_F(DiskFailureDomainTest, CrashRebootKeepsFlushedDataAndClearsFaults) {
@@ -97,7 +97,7 @@ TEST_F(DiskFailureDomainTest, CrashRebootKeepsFlushedDataAndClearsFaults) {
   ASSERT_TRUE(node_->CrashAndRecoverDisk(2, /*crash_seed=*/7).ok());
   EXPECT_EQ(node_->Health(2), DiskHealth::kHealthy);
   EXPECT_FALSE(node_->disk(2).fault_injector().AnyArmed());
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("durable"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("durable"));
 }
 
 TEST_F(DiskFailureDomainTest, MigrationIsDurableAgainstTargetCrash) {
@@ -109,7 +109,7 @@ TEST_F(DiskFailureDomainTest, MigrationIsDurableAgainstTargetCrash) {
   // the target cannot lose it.
   ASSERT_TRUE(node_->CrashAndRecoverDisk(1, /*crash_seed=*/11).ok());
   EXPECT_EQ(node_->DiskFor(id), 1);
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("moved"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("moved"));
 }
 
 TEST_F(DiskFailureDomainTest, SourceCrashDoesNotResurrectMigratedShard) {
@@ -121,7 +121,7 @@ TEST_F(DiskFailureDomainTest, SourceCrashDoesNotResurrectMigratedShard) {
   // stealing routing back.
   ASSERT_TRUE(node_->CrashAndRecoverDisk(0, /*crash_seed=*/13).ok());
   EXPECT_EQ(node_->DiskFor(id), 1);
-  EXPECT_EQ(node_->Get(id).value(), BytesOf("v2"));
+  EXPECT_EQ(node_->Get(id).value().value, BytesOf("v2"));
 }
 
 // --- Metric-delta oracles -----------------------------------------------------------
@@ -142,7 +142,7 @@ TEST_F(DiskFailureDomainTest, AbsorbedFaultStormCountsExactlyInMetrics) {
     for (ExtentId e = 1; e < 16; ++e) {
       node_->disk(0).fault_injector().FailReadTimes(e, 1);
     }
-    ASSERT_EQ(node_->Get(id).value(), BytesOf("stormy")) << "storm iteration " << i;
+    ASSERT_EQ(node_->Get(id).value().value, BytesOf("stormy")) << "storm iteration " << i;
     node_->disk(0).fault_injector().Clear();
   }
   const MetricsSnapshot after = node_->MetricsSnapshot();

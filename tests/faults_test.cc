@@ -68,10 +68,10 @@ TEST(Faults, DisableAllClearsEverything) {
   }
 }
 
-TEST(Faults, ScopedSeededBugSurvivesEarlyExit) {
+TEST(Faults, ScopedBugSurvivesEarlyExit) {
   // The guard must clean up even when the scope unwinds through a return/throw path.
   auto body = [] {
-    ScopedSeededBug scope(SeededBug::kListRemoveRace);
+    ScopedBug scope(SeededBug::kListRemoveRace);
     EXPECT_TRUE(BugEnabled(SeededBug::kListRemoveRace));
     return;  // early exit; destructor still runs
   };

@@ -44,7 +44,7 @@ class FlightTest : public testing::Test {
 // disarmed, then re-run the minimized counterexample once with it armed; the artifact
 // must carry everything needed to reproduce the failure from two integers.
 TEST_F(FlightTest, KvHarnessViolationWritesAReplayableArtifact) {
-  ScopedSeededBug bug(SeededBug::kReclaimOffByOnePageSize);
+  ScopedBug bug(SeededBug::kReclaimOffByOnePageSize);
 
   KvHarnessOptions options;
   KvConformanceHarness harness(options);
@@ -92,8 +92,9 @@ TEST_F(FlightTest, KvHarnessViolationWritesAReplayableArtifact) {
   }
 }
 
-// Node-level capture: CaptureNode snapshots metrics, the rpc.* span trees, the trace
-// tail, and per-disk dependency/extent state from a live NodeServer.
+// Node-level capture: CaptureNode snapshots metrics, the rpc.* span trees (each root
+// carrying its shard and disk), and per-disk dependency/extent state from a live
+// NodeServer.
 TEST_F(FlightTest, CaptureNodeSnapshotsEverySection) {
   NodeServerOptions options;
   options.disk_count = 2;
@@ -114,7 +115,8 @@ TEST_F(FlightTest, CaptureNodeSnapshotsEverySection) {
   std::string json = ReadFile(path_or.value());
   EXPECT_NE(json.find("\"rpc.put.ok\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"rpc.put\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"Put\""), std::string::npos);
+  EXPECT_NE(json.find("\"shard\":1,\"disk\":" + std::to_string(node->DiskFor(1))),
+            std::string::npos);
   // The routed disk's pending writebacks appear under its per-disk DOT prefix.
   EXPECT_NE(json.find("disk" + std::to_string(node->DiskFor(1)) + "."), std::string::npos);
   // Unflushed writes show up as a persisted-vs-volatile delta.

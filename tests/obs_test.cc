@@ -1,10 +1,11 @@
 // Observability layer: registry find-or-create semantics, histogram bucketing and
-// quantiles, snapshot merging, trace-ring wraparound, span-tree causality, snapshot
-// stability under model-checked concurrency, and the NodeServer surface (every
-// subsystem visible in one snapshot, spans linked from trace events).
+// quantiles, snapshot merging, span-tree causality and wraparound, snapshot stability
+// under model-checked concurrency, and the NodeServer surface (every subsystem visible
+// in one snapshot, one root span per RPC carrying its shard, disk and status).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -13,7 +14,6 @@
 #include "src/obs/cluster_trace.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/rpc/node_server.h"
 #include "src/sync/sync.h"
 
@@ -250,54 +250,6 @@ TEST(HistogramQuantile, BoundlessHistogramFallsBackToMean) {
   EXPECT_EQ(snap.ValueAtQuantile(0.99), 20u);
 }
 
-// --- TraceRing ----------------------------------------------------------------------
-
-TEST(TraceRing, WrapsAroundKeepingTheNewestEvents) {
-  TraceRing ring(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    ring.Record(TraceKind::kPut, /*shard=*/i, /*disk=*/0, StatusCode::kOk);
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  std::vector<TraceEvent> events = ring.Events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first, and only the last four survive.
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 6 + i);
-    EXPECT_EQ(events[i].shard, 6 + i);
-  }
-}
-
-TEST(TraceRing, RecordsStructuredFields) {
-  TraceRing ring;
-  ring.Record(TraceKind::kMigrateShard, /*shard=*/42, /*disk=*/2,
-              StatusCode::kOk, /*duration_ticks=*/9);
-  std::vector<TraceEvent> events = ring.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, TraceKind::kMigrateShard);
-  EXPECT_EQ(events[0].shard, 42u);
-  EXPECT_EQ(events[0].disk, 2);
-  EXPECT_EQ(events[0].status, StatusCode::kOk);
-  EXPECT_EQ(events[0].duration_ticks, 9u);
-  std::string text = ring.ToString();
-  EXPECT_NE(text.find("MigrateShard"), std::string::npos);
-}
-
-// Regression: after wraparound, ToString must render the *newest* tail of the ring
-// (the last max_events events by sequence number), not the oldest retained ones.
-TEST(TraceRing, ToStringShowsTheNewestTailAfterWraparound) {
-  TraceRing ring(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    ring.Record(TraceKind::kPut, /*shard=*/i, /*disk=*/0, StatusCode::kOk);
-  }
-  // Retained: seqs 6..9. A 2-event rendering must show exactly #8 and #9.
-  std::string text = ring.ToString(/*max_events=*/2);
-  EXPECT_NE(text.find("last 2 of 10"), std::string::npos) << text;
-  EXPECT_EQ(text.find("#6 "), std::string::npos) << text;
-  EXPECT_EQ(text.find("#7 "), std::string::npos) << text;
-  EXPECT_NE(text.find("#8 "), std::string::npos) << text;
-  EXPECT_NE(text.find("#9 "), std::string::npos) << text;
-}
-
 // --- SpanTree -----------------------------------------------------------------------
 
 // A fake clock whose ticks the test advances by hand.
@@ -394,6 +346,30 @@ TEST(SpanTree, EndedSpansFeedPerStageHistograms) {
   EXPECT_EQ(snap.histograms.at("span.rpc.put.ticks").sum, 3u);
 }
 
+// Regression: a root whose children outnumber the ring's capacity is overwritten
+// before it ends (rpc.evacuate_disk, rpc.flush_all, a large batch); its duration must
+// still reach its per-stage histogram.
+TEST(SpanTree, OverwrittenSpansStillFeedTheirHistograms) {
+  constexpr size_t kCapacity = 4;
+  MetricRegistry registry;
+  SpanTree tree(kCapacity, &registry);
+  uint64_t root_id = 0;
+  {
+    Span root(&tree, /*clock=*/nullptr, "rpc.flush_all");
+    root_id = root.id();
+    root.AddTicks(5);
+    for (size_t i = 0; i < kCapacity + 1; ++i) {
+      Span child = root.scope().Child("lsm.flush");
+    }
+  }
+  ASSERT_NE(tree.Tree(root_id).front().id, root_id) << "root record not overwritten";
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.histogram_count("span.rpc.flush_all.ticks"), 1u);
+  EXPECT_EQ(snap.histogram_count("span.lsm.flush.ticks"), kCapacity + 1);
+  ASSERT_TRUE(snap.histograms.count("span.rpc.flush_all.ticks"));
+  EXPECT_EQ(snap.histograms.at("span.rpc.flush_all.ticks").sum, 5u);
+}
+
 TEST(SpanTree, RenderingsShowHierarchy) {
   SpanTree tree;
   Span root(&tree, nullptr, "rpc.put");
@@ -412,10 +388,10 @@ TEST(SpanTree, RenderingsShowHierarchy) {
 
 TEST(RemoteSpans, StartRemoteSpanRecordsLinkageAndStaysLocallyRooted) {
   SpanTree tree;
-  const uint64_t id = tree.StartRemoteSpan("rpc.put", TraceContext{40, 41});
-  const uint64_t child = tree.StartSpan("lsm.insert", id, id);
-  tree.EndSpan(child, StatusCode::kOk, 1);
-  tree.EndSpan(id, StatusCode::kOk, 2);
+  const StartedSpan remote = tree.StartRemoteSpan("rpc.put", TraceContext{40, 41});
+  const uint64_t id = remote.id;
+  tree.EndSpan(tree.StartSpan("lsm.insert", id, id), StatusCode::kOk, 1);
+  tree.EndSpan(remote, StatusCode::kOk, 2);
   std::vector<SpanRecord> spans = tree.Tree(id);
   ASSERT_EQ(spans.size(), 2u);
   // The adopted span is a root in *this* tree — remote ids are recorded, never
@@ -438,17 +414,19 @@ TEST(ClusterTraceAssembly, StitchesNodeSubtreesUnderTheCoordinatorSpan) {
   // holding one adopted subtree for this trace plus an unrelated one that must not
   // leak in.
   SpanTree coord;
-  const uint64_t root = coord.StartSpan("cluster.put");
-  const uint64_t fanout = coord.StartSpan("cluster.fanout", root, root);
+  const StartedSpan root_span = coord.StartSpan("cluster.put");
+  const uint64_t root = root_span.id;
+  const StartedSpan fanout_span = coord.StartSpan("cluster.fanout", root, root);
+  const uint64_t fanout = fanout_span.id;
   SpanTree node;
-  const uint64_t adopted = node.StartRemoteSpan("rpc.put", TraceContext{root, fanout});
-  const uint64_t nested = node.StartSpan("lsm.insert", adopted, adopted);
-  const uint64_t unrelated = node.StartRemoteSpan("rpc.get", TraceContext{777, 778});
+  const StartedSpan adopted = node.StartRemoteSpan("rpc.put", TraceContext{root, fanout});
+  const StartedSpan nested = node.StartSpan("lsm.insert", adopted.id, adopted.id);
+  const StartedSpan unrelated = node.StartRemoteSpan("rpc.get", TraceContext{777, 778});
   node.EndSpan(nested, StatusCode::kOk, 1);
   node.EndSpan(adopted, StatusCode::kOk, 2);
   node.EndSpan(unrelated, StatusCode::kOk, 1);
-  coord.EndSpan(fanout, StatusCode::kOk, 3);
-  coord.EndSpan(root, StatusCode::kOk, 4);
+  coord.EndSpan(fanout_span, StatusCode::kOk, 3);
+  coord.EndSpan(root_span, StatusCode::kOk, 4);
 
   const ClusterTrace trace = AssembleClusterTrace(root, coord, {{"node-7", &node}});
   EXPECT_EQ(trace.root, root);
@@ -505,21 +483,26 @@ TEST(ObsConcurrency, QuiescedCountsAreExactUnderMcSchedules) {
       []() {
         MetricRegistry registry;
         Counter& ops = registry.counter("ops");
-        TraceRing ring(8);
+        SpanTree spans(/*capacity=*/2, &registry);  // wraps on the third span
         Thread worker = Thread::Spawn([&]() {
           for (int i = 0; i < 3; ++i) {
             ops.Increment();
-            ring.Record(TraceKind::kGet, i, 0, StatusCode::kOk);
+            spans.EndSpan(spans.StartSpan("rpc.get"), StatusCode::kOk, 0);
             YieldThread();
           }
         });
         // Mid-flight reads: structurally safe, monotonic, never above the cap.
         MetricsSnapshot mid = registry.Snapshot();
         MC_CHECK(mid.counter("ops") <= 3, "counter overshot mid-flight");
-        MC_CHECK(ring.total_recorded() <= 3, "trace overshot mid-flight");
+        MC_CHECK(mid.histogram_count("span.rpc.get.ticks") <= 3,
+                 "histogram overshot mid-flight");
+        MC_CHECK(spans.total_started() <= 3, "span total overshot mid-flight");
         worker.Join();
-        MC_CHECK(registry.Snapshot().counter("ops") == 3, "quiesced counter not exact");
-        MC_CHECK(ring.total_recorded() == 3, "quiesced trace total not exact");
+        MetricsSnapshot quiesced = registry.Snapshot();
+        MC_CHECK(quiesced.counter("ops") == 3, "quiesced counter not exact");
+        MC_CHECK(quiesced.histogram_count("span.rpc.get.ticks") == 3,
+                 "quiesced span histogram not exact");
+        MC_CHECK(spans.total_started() == 3, "quiesced span total not exact");
       },
       options);
   EXPECT_TRUE(result.ok) << result.error;
@@ -584,46 +567,83 @@ TEST_F(NodeObsTest, RequestCountsMatchCalls) {
   EXPECT_EQ(CounterDelta(before, after, "rpc.get.ok"), 1u);
   EXPECT_EQ(CounterDelta(before, after, "rpc.get.err"), 1u);
   EXPECT_EQ(CounterDelta(before, after, "rpc.delete.ok"), 1u);
-  EXPECT_EQ(node_->trace().total_recorded(), 5u);
+  EXPECT_EQ(node_->spans().Roots().size(), 5u);
 }
 
-TEST_F(NodeObsTest, DumpMetricsShowsCountersAndTrace) {
+TEST_F(NodeObsTest, DumpMetricsShowsCountersAndRootSpans) {
   ASSERT_TRUE(node_->Put(5, BytesOf("x")).ok());
   ASSERT_TRUE(node_->Get(5).ok());
   std::string dump = node_->DumpMetrics();
   EXPECT_NE(dump.find("rpc.put.ok"), std::string::npos);
   EXPECT_NE(dump.find("lsm.puts"), std::string::npos);
-  EXPECT_NE(dump.find("trace"), std::string::npos);
-  EXPECT_NE(dump.find("put"), std::string::npos);
+  EXPECT_NE(dump.find("root spans (last 2 of 2"), std::string::npos) << dump;
+  EXPECT_NE(dump.find(" rpc.put parent=0"), std::string::npos) << dump;
+  EXPECT_NE(dump.find(" rpc.get parent=0"), std::string::npos) << dump;
 }
 
-TEST_F(NodeObsTest, EveryTraceEventLinksToARootSpanWithRealTicks) {
-  ASSERT_TRUE(node_->Put(1, BytesOf("abc")).ok());
+// The root span is the RPC's event: its id is the envelope's trace_id, and it records
+// the shard and disk the operation addressed plus its final status.
+TEST_F(NodeObsTest, EveryRpcRootSpanRecordsShardDiskAndStatus) {
+  const PutResult put = node_->Put(1, BytesOf("abc")).value();
   ASSERT_TRUE(node_->Put(2, BytesOf("def")).ok());
-  ASSERT_TRUE(node_->Get(1).ok());
-  ASSERT_TRUE(node_->Delete(2).ok());
+  const GetResult get = node_->Get(1).value();
+  const DeleteResult del = node_->Delete(2).value();
+  EXPECT_EQ(node_->Get(99).code(), StatusCode::kNotFound);
+  const ScanResult scan = node_->Scan(0, 10).value();
+  const BatchResult put_batch = node_->PutBatch({{3, BytesOf("x")}, {4, BytesOf("y")}});
+  const BatchResult delete_batch = node_->DeleteBatch({3});
   ASSERT_TRUE(node_->FlushAllDisks().ok());
-  ASSERT_TRUE(node_->MigrateShard(1, 1 - node_->DiskFor(1)).ok());
+  const int to_disk = 1 - node_->DiskFor(1);
+  ASSERT_TRUE(node_->MigrateShard(1, to_disk).ok());
   ASSERT_TRUE(node_->MarkDiskDegraded(0).ok());
   ASSERT_TRUE(node_->ResetDiskHealth(0).ok());
   ASSERT_TRUE(node_->CrashAndRecoverDisk(0, /*crash_seed=*/1).ok());
-  for (const TraceEvent& event : node_->trace().Events()) {
-    EXPECT_GT(event.root_span, 0u) << event.ToString();
-    // Each linked root span must actually exist (or have aged out — not here, the
-    // tree's capacity far exceeds this test's span count) with a matching name class.
-    std::vector<SpanRecord> tree = node_->spans().Tree(event.root_span);
-    ASSERT_FALSE(tree.empty()) << event.ToString();
-    EXPECT_EQ(tree.front().id, event.root_span);
-    EXPECT_EQ(tree.front().name.rfind("rpc.", 0), 0u) << tree.front().name;
-    EXPECT_FALSE(tree.front().open) << tree.front().ToString();
+
+  const std::vector<SpanRecord> roots = node_->spans().Roots();
+  for (const SpanRecord& root : roots) {
+    EXPECT_EQ(root.name.rfind("rpc.", 0), 0u) << root.ToString();
+    EXPECT_FALSE(root.open) << root.ToString();
   }
-  // The Put's causal tree carries store/lsm/chunk children under the rpc root. (Its
-  // duration stays 0 here: the virtual clock only advances on retry backoff, and no
-  // faults are armed.)
-  std::vector<TraceEvent> events = node_->trace().Events();
-  ASSERT_FALSE(events.empty());
+  auto by_id = [&](uint64_t id) {
+    auto it = std::find_if(roots.begin(), roots.end(),
+                           [id](const SpanRecord& r) { return r.id == id; });
+    return it == roots.end() ? SpanRecord{} : *it;
+  };
+  auto last_named = [&](std::string_view name) {
+    auto it = std::find_if(roots.rbegin(), roots.rend(),
+                           [name](const SpanRecord& r) { return r.name == name; });
+    return it == roots.rend() ? SpanRecord{} : *it;
+  };
+  struct Expected {
+    SpanRecord root;
+    std::string name;
+    uint64_t shard;
+    int32_t disk;
+    StatusCode status;
+  };
+  const Expected expected[] = {
+      {by_id(put.trace_id), "rpc.put", 1, put.disk, StatusCode::kOk},
+      {by_id(get.trace_id), "rpc.get", 1, get.disk, StatusCode::kOk},
+      {by_id(del.trace_id), "rpc.delete", 2, del.disk, StatusCode::kOk},
+      {last_named("rpc.get"), "rpc.get", 99, node_->DiskFor(99), StatusCode::kNotFound},
+      {by_id(scan.trace_id), "rpc.scan", 0, -1, StatusCode::kOk},
+      {by_id(put_batch.trace_id), "rpc.put_batch", 0, -1, StatusCode::kOk},
+      {by_id(delete_batch.trace_id), "rpc.delete_batch", 0, -1, StatusCode::kOk},
+      {last_named("rpc.flush_all"), "rpc.flush_all", 0, -1, StatusCode::kOk},
+      {last_named("rpc.migrate_shard"), "rpc.migrate_shard", 1, to_disk, StatusCode::kOk},
+      {last_named("rpc.mark_degraded"), "rpc.mark_degraded", 0, 0, StatusCode::kOk},
+      {last_named("rpc.reset_health"), "rpc.reset_health", 0, 0, StatusCode::kOk},
+      {last_named("rpc.crash_recover_disk"), "rpc.crash_recover_disk", 0, 0, StatusCode::kOk},
+  };
+  for (const Expected& want : expected) {
+    EXPECT_EQ(want.root.name, want.name) << want.root.ToString();
+    EXPECT_EQ(want.root.shard, want.shard) << want.root.ToString();
+    EXPECT_EQ(want.root.disk, want.disk) << want.root.ToString();
+    EXPECT_EQ(want.root.status, want.status) << want.root.ToString();
+  }
+  // The Put's causal tree carries store/lsm/chunk children under the rpc root.
   std::set<std::string> child_names;
-  for (const SpanRecord& record : node_->spans().Tree(events[0].root_span)) {
+  for (const SpanRecord& record : node_->spans().Tree(put.trace_id)) {
     child_names.insert(record.name);
   }
   EXPECT_TRUE(child_names.count("store.put"));
@@ -638,29 +658,30 @@ TEST_F(NodeObsTest, DumpMetricsJsonIsMachineReadable) {
   // Top-level sections.
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"spans\":"), std::string::npos);
-  EXPECT_NE(json.find("\"trace\":"), std::string::npos);
-  // Metric snapshot content, span-name content, trace-event content.
+  // Metric snapshot content, span-name content, root-span event content.
   EXPECT_NE(json.find("\"rpc.put.ok\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"rpc.put\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"Put\""), std::string::npos);
+  EXPECT_NE(json.find("\"shard\":3,\"disk\":" + std::to_string(node_->DiskFor(3))),
+            std::string::npos);
   // Per-stage span histograms flow into the same snapshot.
   EXPECT_NE(json.find("\"span.rpc.put.ticks\""), std::string::npos);
   EXPECT_NE(json.find("\"span.lsm.insert.ticks\""), std::string::npos);
 }
 
-TEST_F(NodeObsTest, TraceRingCapacityIsConfigurable) {
+// span_capacity bounds what the tree retains, not what the histograms count.
+TEST_F(NodeObsTest, SpanCapacityBoundsRetentionNotHistograms) {
   NodeServerOptions options;
   options.disk_count = 1;
-  options.trace_capacity = 2;
+  options.span_capacity = 2;
   options.geometry = DiskGeometry{.extent_count = 16, .pages_per_extent = 16,
                                   .page_size = 256};
   std::unique_ptr<NodeServer> node = std::move(NodeServer::Create(options).value());
   for (ShardId id = 0; id < 5; ++id) {
     ASSERT_TRUE(node->Put(id, BytesOf("v")).ok());
   }
-  EXPECT_EQ(node->trace().capacity(), 2u);
-  EXPECT_EQ(node->trace().Events().size(), 2u);
-  EXPECT_EQ(node->trace().total_recorded(), 5u);
+  EXPECT_EQ(node->spans().capacity(), 2u);
+  EXPECT_EQ(node->spans().Spans().size(), 2u);
+  EXPECT_EQ(node->MetricsSnapshot().histogram_count("span.rpc.put.ticks"), 5u);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ class NodeServerTest : public testing::Test {
 
 TEST_F(NodeServerTest, PutGetDeleteRoundTrip) {
   ASSERT_TRUE(node_->Put(1, BytesOf("one")).ok());
-  EXPECT_EQ(node_->Get(1).value(), BytesOf("one"));
+  EXPECT_EQ(node_->Get(1).value().value, BytesOf("one"));
   ASSERT_TRUE(node_->Delete(1).ok());
   EXPECT_EQ(node_->Get(1).code(), StatusCode::kNotFound);
 }
@@ -69,16 +69,16 @@ TEST_F(NodeServerTest, ScanMergesDisksInKeyOrderAndSkipsDeletes) {
     EXPECT_EQ(result.items[i].id, want[i]);
     EXPECT_EQ(result.items[i].value, BytesOf("v" + std::to_string(want[i])));
   }
-  // The envelope links to the causal span tree, the ring has the flat event, and the
-  // ok-counter moved.
+  // The envelope names the scan's root span, which closed ok, and the ok-counter
+  // moved.
   EXPECT_NE(result.trace_id, 0u);
   MetricsSnapshot after = node_->MetricsSnapshot();
   EXPECT_EQ(CounterDelta(before, after, "rpc.scan.ok"), 1u);
   EXPECT_EQ(CounterDelta(before, after, "rpc.scan.err"), 0u);
   bool traced = false;
-  for (const TraceEvent& event : node_->trace().Events()) {
-    traced |= event.kind == TraceKind::kScan && event.root_span == result.trace_id &&
-              event.status == StatusCode::kOk;
+  for (const SpanRecord& root : node_->spans().Roots()) {
+    traced |= root.name == "rpc.scan" && root.id == result.trace_id &&
+              root.status == StatusCode::kOk;
   }
   EXPECT_TRUE(traced);
 }
@@ -135,7 +135,7 @@ TEST_F(NodeServerTest, RemoveRestoreCyclePreservesShards) {
   ASSERT_TRUE(node_->RemoveDiskFromService(0).ok());
   ASSERT_TRUE(node_->RestoreDisk(0).ok());
   for (ShardId id : on_disk0) {
-    EXPECT_EQ(node_->Get(id).value(), BytesOf("payload")) << "shard " << id;
+    EXPECT_EQ(node_->Get(id).value().value, BytesOf("payload")) << "shard " << id;
   }
 }
 
@@ -196,7 +196,7 @@ TEST_F(NodeServerTest, BulkCreateThenRemove) {
 }
 
 TEST_F(NodeServerTest, FlushAllPersistsDependencies) {
-  Dependency dep = node_->Put(1, BytesOf("v")).value();
+  Dependency dep = node_->Put(1, BytesOf("v")).value().dep;
   EXPECT_FALSE(dep.IsPersistent());
   ASSERT_TRUE(node_->FlushAllDisks().ok());
   EXPECT_TRUE(dep.IsPersistent());
@@ -208,7 +208,7 @@ TEST_F(NodeServerTest, MigrateMovesShardAndPreservesValue) {
   const int to = (from + 1) % node_->disk_count();
   ASSERT_TRUE(node_->MigrateShard(5, to).ok());
   EXPECT_EQ(node_->DiskFor(5), to);
-  EXPECT_EQ(node_->Get(5).value(), BytesOf("cargo"));
+  EXPECT_EQ(node_->Get(5).value().value, BytesOf("cargo"));
   // The source no longer holds it.
   EXPECT_EQ(node_->store(from)->Get(5).code(), StatusCode::kNotFound);
   EXPECT_EQ(node_->store(to)->Get(5).value(), BytesOf("cargo"));
@@ -217,7 +217,7 @@ TEST_F(NodeServerTest, MigrateMovesShardAndPreservesValue) {
 TEST_F(NodeServerTest, MigrateToSameDiskIsNoOp) {
   ASSERT_TRUE(node_->Put(5, BytesOf("v")).ok());
   ASSERT_TRUE(node_->MigrateShard(5, node_->DiskFor(5)).ok());
-  EXPECT_EQ(node_->Get(5).value(), BytesOf("v"));
+  EXPECT_EQ(node_->Get(5).value().value, BytesOf("v"));
 }
 
 TEST_F(NodeServerTest, MigrateMissingShardIsNotFound) {
@@ -229,7 +229,7 @@ TEST_F(NodeServerTest, MigrateToRemovedDiskIsUnavailable) {
   const int to = (node_->DiskFor(5) + 1) % node_->disk_count();
   ASSERT_TRUE(node_->RemoveDiskFromService(to).ok());
   EXPECT_EQ(node_->MigrateShard(5, to).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(node_->Get(5).value(), BytesOf("v"));
+  EXPECT_EQ(node_->Get(5).value().value, BytesOf("v"));
 }
 
 TEST_F(NodeServerTest, MigratedShardSurvivesRemoveRestoreOfNewHome) {
@@ -239,7 +239,7 @@ TEST_F(NodeServerTest, MigratedShardSurvivesRemoveRestoreOfNewHome) {
   ASSERT_TRUE(node_->RemoveDiskFromService(to).ok());
   EXPECT_EQ(node_->Get(5).code(), StatusCode::kUnavailable);
   ASSERT_TRUE(node_->RestoreDisk(to).ok());
-  EXPECT_EQ(node_->Get(5).value(), BytesOf("v"));
+  EXPECT_EQ(node_->Get(5).value().value, BytesOf("v"));
   EXPECT_EQ(node_->DiskFor(5), to);
 }
 
@@ -255,7 +255,7 @@ TEST_F(NodeServerTest, FreshPlacementSkipsOutOfServiceDisk) {
     ASSERT_TRUE(node_->Put(id, BytesOf("fresh-" + std::to_string(id))).ok())
         << "shard " << id;
     EXPECT_NE(node_->DiskFor(id), 0) << "shard " << id << " placed on removed disk";
-    EXPECT_EQ(node_->Get(id).value(), BytesOf("fresh-" + std::to_string(id)));
+    EXPECT_EQ(node_->Get(id).value().value, BytesOf("fresh-" + std::to_string(id)));
   }
   // ~1/3 of the range hashed to disk 0 and was rerouted; the diversion is visible.
   MetricsSnapshot after = node_->MetricsSnapshot();
@@ -264,7 +264,7 @@ TEST_F(NodeServerTest, FreshPlacementSkipsOutOfServiceDisk) {
   // directory entries the rerouted shards acquired.
   ASSERT_TRUE(node_->RestoreDisk(0).ok());
   for (ShardId id = 100; id < 160; ++id) {
-    EXPECT_EQ(node_->Get(id).value(), BytesOf("fresh-" + std::to_string(id)));
+    EXPECT_EQ(node_->Get(id).value().value, BytesOf("fresh-" + std::to_string(id)));
   }
 }
 
