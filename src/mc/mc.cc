@@ -163,7 +163,8 @@ class McRuntime : public SchedHooks {
     const uint64_t witness_before = LockWitness::Global().violation_count();
     SetActiveSchedHooks(this);
     SpawnInternal(body);
-    ScheduleLoop();
+    PassBaton(PickNext());
+    WaitForSchedulerTurn();
     SetActiveSchedHooks(nullptr);
     // Reap threads.
     for (auto& task : tasks_) {
@@ -335,7 +336,7 @@ class McRuntime : public SchedHooks {
           t->state = TaskState::kRunnable;
         }
       }
-      HandBatonToScheduler();
+      PassBaton(PickNext());
     });
     return raw->id;
   }
@@ -368,8 +369,14 @@ class McRuntime : public SchedHooks {
     YieldToScheduler(self);
   }
 
+  // Takes the scheduling step on the calling task's own thread: a step costs one
+  // thread handoff, and none when the strategy picks the yielding task again.
   void YieldToScheduler(Task* self) {
-    HandBatonToScheduler();
+    Task* next = PickNext();
+    if (next == self) {
+      return;
+    }
+    PassBaton(next);
     WaitForBaton(self);
   }
 
@@ -389,7 +396,12 @@ class McRuntime : public SchedHooks {
     task->cv.NotifyOne();
   }
 
-  void HandBatonToScheduler() {
+  // Runs `next`, or wakes the driver when `next` is null (every task finished).
+  void PassBaton(Task* next) {
+    if (next != nullptr) {
+      GiveBaton(next);
+      return;
+    }
     {
       LockGuard lock(sched_m_);
       sched_turn_ = true;
@@ -405,7 +417,10 @@ class McRuntime : public SchedHooks {
     sched_turn_ = false;
   }
 
-  void ScheduleLoop() {
+  // One scheduling step, taken by whichever thread holds the baton (the driver
+  // starting the execution, a task at a scheduling point, or a finishing task):
+  // returns the task to run next, or null once every task has finished.
+  Task* PickNext() {
     while (true) {
       std::vector<uint64_t> runnable;
       bool all_finished = true;
@@ -418,7 +433,7 @@ class McRuntime : public SchedHooks {
         }
       }
       if (all_finished) {
-        return;
+        return nullptr;
       }
       if (poisoned_ && runnable.empty()) {
         // Force-wake blocked tasks so they unwind via McKilled.
@@ -456,8 +471,7 @@ class McRuntime : public SchedHooks {
       Task* chosen = FindTask(runnable[pick]);
       trace_.push_back(static_cast<uint32_t>(chosen->id));
       ++steps_;
-      GiveBaton(chosen);
-      WaitForSchedulerTurn();
+      return chosen;
     }
   }
 
