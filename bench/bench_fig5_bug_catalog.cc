@@ -1,8 +1,8 @@
 // Figure 5 reproduction: the headline result. Seeds each of the paper's 16 catalogued
-// issues into the implementation (or its reference models), runs the checker class the
-// paper credits with preventing it, and prints the resulting table: component,
-// description, checker, detection status, effort (cases/executions until detection),
-// and minimization statistics.
+// issues, and the registry's rows #17-#19 after them, into the implementation (or its
+// reference models), runs the checker class the paper credits with preventing it, and
+// prints the resulting table: component, description, checker, detection status,
+// effort (cases/executions until detection), and minimization statistics.
 //
 //   $ ./build/bench/bench_fig5_bug_catalog [--pbt-cases N] [--mc-iters N] [--seed N]
 

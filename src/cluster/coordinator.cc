@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/faults/faults.h"
 #include "src/obs/json.h"
 
 namespace ss {
@@ -396,7 +397,7 @@ QuorumResult ClusterCoordinator::Get(ShardId key) {
     Span repair_span = scope.Child("cluster.read_repair");
     const SpanScope repair_scope = repair_span.scope();
     ReplicaRecord repair = *newest;
-    if (options_.seeded_bug_read_repair_wrong_value) {
+    if (BugEnabled(SeededBug::kReadRepairWrongValue)) {
       // Seeded bug #17: the repair keeps the newest *version* but pairs it with the
       // first reply's payload — if a stale replica answered first, its old value is
       // pushed cluster-wide under the new version number.

@@ -37,7 +37,7 @@
 //     interleaving of concurrent ops, partitions, crashes, and heals.
 //   * R + W <= N (allow_unsafe_quorums) => ss::mc finds the stale read and the
 //     failure surfaces as a replayable flight-recorder counterexample.
-// Seeded bug #17 (seeded_bug_read_repair_wrong_value) makes read repair write the
+// Seeded bug #17 (SeededBug::kReadRepairWrongValue) makes read repair write the
 // newest *version* with the first reply's *value*; the harness model catches the
 // value/version mismatch and the PBT shrinker minimizes the trace.
 
@@ -88,9 +88,6 @@ struct ClusterOptions {
   // Permit R + W <= N. Only the model-checker misconfiguration demo sets this; the
   // constructor otherwise rejects unsafe quorums with kInvalidArgument.
   bool allow_unsafe_quorums = false;
-  // Seeded bug #17: read repair pushes the newest version number paired with the
-  // *first* successful reply's value, silently corrupting the repaired replicas.
-  bool seeded_bug_read_repair_wrong_value = false;
 };
 
 enum class QuorumOutcome : uint8_t {

@@ -42,6 +42,12 @@ constexpr std::array<BugInfo, kSeededBugCount> kBugInfo = {{
      "Reference model could re-use chunk locators, which other code assumed were unique"},
     {"#16 BulkCreateRemoveRace", "API",
      "Race between control plane bulk operations for creating and removing shards"},
+    {"#17 ReadRepairWrongValue", "Cluster",
+     "Read repair paired the newest version with the first reply's value, corrupting replicas"},
+    {"#18 DropTombstonesAboveBottom", "Index",
+     "Partial level merges dropped tombstones above the bottom level, resurrecting shards"},
+    {"#19 UnconditionalRouteCommit", "API",
+     "Put/Delete committed their route unconditionally, clobbering a concurrent migration"},
 }};
 
 }  // namespace

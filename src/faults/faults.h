@@ -5,7 +5,8 @@
 // switchable code path *inside the real implementation*: enabling a SeededBug makes the
 // corresponding module misbehave in the way the paper describes, and the matching
 // checker (conformance / crash consistency / model checking) must then detect it.
-// bench/bench_fig5_bug_catalog.cc drives the full table.
+// Rows #17-#19 follow the paper's 16: bugs this reproduction's own harnesses exist to
+// catch, seeded the same way. bench/bench_fig5_bug_catalog.cc drives the full table.
 //
 // All bugs default to off; production behaviour is the correct path.
 
@@ -19,7 +20,8 @@
 
 namespace ss {
 
-// One entry per Figure 5 row. Comments give the paper's description.
+// One entry per Figure 5 row, then this reproduction's rows. Comments give the
+// description.
 enum class SeededBug : uint8_t {
   // #1 Chunk store: off-by-one error in reclamation for chunks of size close to PAGE_SIZE.
   kReclaimOffByOnePageSize = 0,
@@ -53,9 +55,17 @@ enum class SeededBug : uint8_t {
   kModelLocatorReuse = 14,
   // #16 API: race between control plane bulk create and bulk remove of shards.
   kBulkCreateRemoveRace = 15,
+  // #17 Cluster: read repair paired the newest version with the first reply's value.
+  kReadRepairWrongValue = 16,
+  // #18 Index: partial level merges dropped tombstones above the bottom level.
+  kDropTombstonesAboveBottom = 17,
+  // #19 API: Put/Delete committed their route unconditionally, clobbering a migration.
+  kUnconditionalRouteCommit = 18,
 };
 
-inline constexpr int kSeededBugCount = 16;
+// The paper's Figure 5 rows are the first 16; the registry holds all of them.
+inline constexpr int kPaperSeededBugCount = 16;
+inline constexpr int kSeededBugCount = 19;
 
 // Short stable name ("#10 ReclaimUuidCollision") for reports.
 std::string_view SeededBugName(SeededBug bug);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/harness/checks.h"
 #include "src/mc/linearizability.h"
 #include "src/mc/mc.h"
-#include "src/obs/flight_recorder.h"
 
 namespace ss {
 
@@ -152,8 +152,8 @@ std::vector<ShardId> ClusterModel::TouchedKeys() const {
 
 // --- Generation / shrinking -----------------------------------------------------------
 
-ClusterOp GenClusterOp(Rng& rng, const std::vector<ClusterOp>& prefix,
-                       const ClusterHarnessOptions& options) {
+ClusterOp ClusterConformanceHarness::Gen(Rng& rng, const std::vector<ClusterOp>& prefix,
+                                         const ClusterHarnessOptions& options) {
   std::vector<uint32_t> weights = {/*Get*/ 22,     /*Put*/ 26,      /*Delete*/ 8,
                                    /*Tick*/ 10,    /*HealAll*/ 4,   /*HealLink*/ 4,
                                    /*Restart*/ 5,  /*Partition*/ 8, /*Crash*/ 5,
@@ -202,7 +202,7 @@ ClusterOp GenClusterOp(Rng& rng, const std::vector<ClusterOp>& prefix,
   return op;
 }
 
-std::vector<ClusterOp> ShrinkClusterOp(const ClusterOp& op) {
+std::vector<ClusterOp> ClusterConformanceHarness::Shrink(const ClusterOp& op) {
   std::vector<ClusterOp> out;
   if (op.key > 0) {
     ClusterOp smaller = op;
@@ -271,10 +271,7 @@ bool FaultsPossible(cluster::ClusterCoordinator& cluster,
 }  // namespace
 
 std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<ClusterOp>& ops) {
-  std::optional<ScopedLockOrderFlightSink> lockorder_sink;
-  if (options_.recorder != nullptr) {
-    lockorder_sink.emplace(options_.recorder);
-  }
+  Violations<ClusterOp> fail("cluster_quorum", ops, options_.recorder);
   auto cluster_or = cluster::ClusterCoordinator::Create(options_.cluster);
   if (!cluster_or.ok()) {
     return "cluster create failed: " + cluster_or.status().ToString();
@@ -287,28 +284,14 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
   uint64_t last_trace_id = 0;  // root span id of the most recent client op
   ClusterModel model;
 
-  auto record_failure = [&](const std::string& message) {
-    if (options_.recorder != nullptr) {
-      FlightRecord record;
-      record.harness = "cluster_quorum";
-      record.violation = message;
-      record.ops.reserve(ops.size());
-      for (const ClusterOp& o : ops) {
-        record.ops.push_back(o.ToString());
-      }
-      record.metrics_json = cluster->MetricsSnapshot().ToJson();
-      record.spans_json = cluster->spans().ToJson();
-      record.cluster_json = cluster->ClusterSnapshotJson();
-      if (last_trace_id != 0) {
-        record.cluster_trace_json = cluster->AssembleTrace(last_trace_id).ToJson();
-      }
-      (void)options_.recorder->Write(record);
+  fail.set_capture([&](FlightRecord& record) {
+    record.metrics_json = cluster->MetricsSnapshot().ToJson();
+    record.spans_json = cluster->spans().ToJson();
+    record.cluster_json = cluster->ClusterSnapshotJson();
+    if (last_trace_id != 0) {
+      record.cluster_trace_json = cluster->AssembleTrace(last_trace_id).ToJson();
     }
-    return std::optional<std::string>(message);
-  };
-  auto fail = [&](size_t i, const std::string& what) {
-    return record_failure("op#" + std::to_string(i) + " " + ops[i].ToString() + ": " + what);
-  };
+  });
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const ClusterOp& op = ops[i];
@@ -440,8 +423,8 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
   for (const int id : cluster->Nodes()) {
     if (cluster->net().Crashed(id)) {
       if (const Status s = cluster->RestartNode(id); !s.ok()) {
-        return record_failure("final restart of node " + std::to_string(id) +
-                              " failed: " + s.ToString());
+        return fail(ops.size(), "final restart of node " + std::to_string(id) +
+                                " failed: " + s.ToString());
       }
     }
   }
@@ -452,7 +435,7 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
     ++rounds;
   }
   if (cluster->HintCount() > 0 || cluster->PendingKeyCount() > 0) {
-    return record_failure(
+    return fail(ops.size(),
         "forward progress: " + std::to_string(cluster->HintCount()) + " hints and " +
         std::to_string(cluster->PendingKeyCount()) +
         " pending rebalance moves failed to drain with all faults cleared");
@@ -461,11 +444,11 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
     const cluster::QuorumResult r = cluster->Get(key);
     ++gets_issued;
     if (!r.status.ok() && r.status.code() != StatusCode::kNotFound) {
-      return record_failure("final sweep: read of key " + std::to_string(key) +
-                            " failed after faults cleared: " + r.status.ToString());
+      return fail(ops.size(), "final sweep: read of key " + std::to_string(key) +
+                              " failed after faults cleared: " + r.status.ToString());
     }
     if (auto err = model.OnRead(key, r.found, r.version, r.value)) {
-      return record_failure("final sweep: " + *err);
+      return fail(ops.size(), "final sweep: " + *err);
     }
   }
   // Replica convergence: every owner must hold a record the model can name. This is
@@ -477,46 +460,46 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
     for (const int owner : cluster->OwnersOf(key)) {
       auto rec_or = cluster->DebugReplicaRead(owner, key);
       if (!rec_or.ok()) {
-        return record_failure("convergence: replica read of key " + std::to_string(key) +
-                              " on node " + std::to_string(owner) +
-                              " failed: " + rec_or.status().ToString());
+        return fail(ops.size(), "convergence: replica read of key " + std::to_string(key) +
+                                " on node " + std::to_string(owner) +
+                                " failed: " + rec_or.status().ToString());
       }
       const std::optional<cluster::ReplicaRecord>& rec = rec_or.value();
       if (!rec.has_value()) {
         if (committed != nullptr) {
-          return record_failure("convergence: node " + std::to_string(owner) +
-                                " holds nothing for key " + std::to_string(key) +
-                                " though version " + std::to_string(committed->version) +
-                                " committed");
+          return fail(ops.size(), "convergence: node " + std::to_string(owner) +
+                                  " holds nothing for key " + std::to_string(key) +
+                                  " though version " + std::to_string(committed->version) +
+                                  " committed");
         }
         continue;
       }
       if (committed != nullptr && rec->version < committed->version) {
-        return record_failure(
+        return fail(ops.size(),
             "convergence: node " + std::to_string(owner) + " stale at version " +
             std::to_string(rec->version) + " for key " + std::to_string(key) +
             " (committed " + std::to_string(committed->version) + ")");
       }
       if (committed != nullptr && rec->version == committed->version) {
         if (rec->tombstone != committed->tombstone || rec->value != committed->value) {
-          return record_failure("convergence: node " + std::to_string(owner) +
-                                " diverges from the committed record of key " +
-                                std::to_string(key) + " at version " +
-                                std::to_string(rec->version));
+          return fail(ops.size(), "convergence: node " + std::to_string(owner) +
+                                  " diverges from the committed record of key " +
+                                  std::to_string(key) + " at version " +
+                                  std::to_string(rec->version));
         }
         continue;
       }
       const ClusterModel::Record* u = model.Uncertain(key, rec->version);
       if (u == nullptr) {
-        return record_failure("convergence: node " + std::to_string(owner) +
-                              " holds phantom version " + std::to_string(rec->version) +
-                              " for key " + std::to_string(key));
+        return fail(ops.size(), "convergence: node " + std::to_string(owner) +
+                                " holds phantom version " + std::to_string(rec->version) +
+                                " for key " + std::to_string(key));
       }
       if (rec->tombstone != u->tombstone || rec->value != u->value) {
-        return record_failure("convergence: node " + std::to_string(owner) +
-                              " corrupted uncertain version " +
-                              std::to_string(rec->version) + " of key " +
-                              std::to_string(key));
+        return fail(ops.size(), "convergence: node " + std::to_string(owner) +
+                                " corrupted uncertain version " +
+                                std::to_string(rec->version) + " of key " +
+                                std::to_string(key));
       }
     }
   }
@@ -534,32 +517,18 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
       CounterDelta(metrics_before, metrics_after, "cluster.delete.err");
   if (put_delta != puts_issued || get_delta != gets_issued ||
       delete_delta != deletes_issued) {
-    return record_failure(
+    return fail(ops.size(),
         "metric oracle: cluster counter deltas put=" + std::to_string(put_delta) + "/" +
         std::to_string(puts_issued) + " get=" + std::to_string(get_delta) + "/" +
         std::to_string(gets_issued) + " delete=" + std::to_string(delete_delta) + "/" +
         std::to_string(deletes_issued) + " disagree with ops issued");
   }
   if (cluster->spans().total_started() < puts_issued + gets_issued + deletes_issued) {
-    return record_failure("metric oracle: span tree recorded " +
-                          std::to_string(cluster->spans().total_started()) +
-                          " root spans, fewer than the client ops issued");
+    return fail(ops.size(), "metric oracle: span tree recorded " +
+                            std::to_string(cluster->spans().total_started()) +
+                            " root spans, fewer than the client ops issued");
   }
   return std::nullopt;
-}
-
-PbtRunner<ClusterOp> ClusterConformanceHarness::MakeRunner(PbtConfig config) const {
-  ClusterHarnessOptions options = options_;
-  return PbtRunner<ClusterOp>(
-      config,
-      [options](Rng& rng, const std::vector<ClusterOp>& prefix) {
-        return GenClusterOp(rng, prefix, options);
-      },
-      [options](const std::vector<ClusterOp>& ops) {
-        ClusterConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const ClusterOp& op) { return ShrinkClusterOp(op); });
 }
 
 // --- Model-checked bodies -------------------------------------------------------------

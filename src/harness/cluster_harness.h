@@ -130,19 +130,14 @@ class ClusterModel {
   std::map<ShardId, std::map<uint64_t, Record>> uncertain_;
 };
 
-ClusterOp GenClusterOp(Rng& rng, const std::vector<ClusterOp>& prefix,
-                       const ClusterHarnessOptions& options);
-std::vector<ClusterOp> ShrinkClusterOp(const ClusterOp& op);
-
-class ClusterConformanceHarness {
+class ClusterConformanceHarness
+    : public PbtHarness<ClusterConformanceHarness, ClusterOp, ClusterHarnessOptions> {
  public:
-  explicit ClusterConformanceHarness(ClusterHarnessOptions options)
-      : options_(options) {}
+  using PbtHarness::PbtHarness;
+  static ClusterOp Gen(Rng& rng, const std::vector<ClusterOp>& prefix,
+                       const ClusterHarnessOptions& options);
+  static std::vector<ClusterOp> Shrink(const ClusterOp& op);
   std::optional<std::string> Run(const std::vector<ClusterOp>& ops);
-  PbtRunner<ClusterOp> MakeRunner(PbtConfig config) const;
-
- private:
-  ClusterHarnessOptions options_;
 };
 
 // Model-checked cross-node linearizability: a 3-node R=2/W=2 cluster, one concurrent

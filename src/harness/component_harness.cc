@@ -7,6 +7,7 @@
 #include "src/cache/buffer_cache.h"
 #include "src/chunk/chunk_store.h"
 #include "src/dep/io_scheduler.h"
+#include "src/harness/checks.h"
 #include "src/lsm/lsm_index.h"
 #include "src/superblock/extent_manager.h"
 
@@ -32,22 +33,20 @@ ShardRecord FabricatedRecord(ShardId key, uint32_t tag) {
 // The full lower stack the index needs.
 struct IndexStack {
   InMemoryDisk disk;
-  LsmOptions lsm_options;
   std::unique_ptr<IoScheduler> scheduler;
   std::unique_ptr<ExtentManager> extents;
   std::unique_ptr<BufferCache> cache;
   std::unique_ptr<ChunkStore> chunks;
   std::unique_ptr<LsmIndex> index;
 
-  IndexStack(const DiskGeometry& geometry, const LsmOptions& lsm)
-      : disk(geometry), lsm_options(lsm) {}
+  explicit IndexStack(const DiskGeometry& geometry) : disk(geometry) {}
 
   Status Open() {
     scheduler = std::make_unique<IoScheduler>(&disk);
     extents = std::make_unique<ExtentManager>(&disk, scheduler.get());
     cache = std::make_unique<BufferCache>(extents.get(), 128);
     chunks = std::make_unique<ChunkStore>(extents.get(), cache.get(), ChunkStoreOptions{});
-    auto index_or = LsmIndex::Open(extents.get(), chunks.get(), lsm_options);
+    auto index_or = LsmIndex::Open(extents.get(), chunks.get(), LsmOptions{});
     if (!index_or.ok()) {
       return index_or.status();
     }
@@ -104,8 +103,8 @@ std::string IndexOp::ToString() const {
   return out.str();
 }
 
-IndexOp GenIndexOp(Rng& rng, const std::vector<IndexOp>& prefix,
-                   const IndexHarnessOptions& options) {
+IndexOp IndexConformanceHarness::Gen(Rng& rng, const std::vector<IndexOp>& prefix,
+                                     const IndexHarnessOptions& options) {
   std::vector<uint32_t> weights = {/*Get*/ 25,    /*Put*/ 30,     /*Delete*/ 10,
                                    /*Flush*/ 12,  /*Compact*/ 6,  /*Reclaim*/ 10,
                                    /*Reboot*/ 4,  /*Scan*/ 8,     /*CompactLevel*/ 5};
@@ -130,7 +129,7 @@ IndexOp GenIndexOp(Rng& rng, const std::vector<IndexOp>& prefix,
   return op;
 }
 
-std::vector<IndexOp> ShrinkIndexOp(const IndexOp& op) {
+std::vector<IndexOp> IndexConformanceHarness::Shrink(const IndexOp& op) {
   std::vector<IndexOp> out;
   if (op.key > 0) {
     IndexOp smaller = op;
@@ -157,17 +156,13 @@ std::vector<IndexOp> ShrinkIndexOp(const IndexOp& op) {
 }
 
 std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexOp>& ops) {
-  IndexStack stack(options_.geometry, options_.lsm);
+  Violations<IndexOp> fail("index_conformance", ops);
+  IndexStack stack(options_.geometry);
   if (Status status = stack.Open(); !status.ok()) {
     return "open failed: " + status.ToString();
   }
   IndexModel model;
   IndexReclaimClient client(&stack);
-
-  auto fail = [&](size_t i, const std::string& what) {
-    return std::optional<std::string>("op#" + std::to_string(i) + " " + ops[i].ToString() +
-                                      ": " + what);
-  };
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const IndexOp& op = ops[i];
@@ -271,20 +266,6 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
   return std::nullopt;
 }
 
-PbtRunner<IndexOp> IndexConformanceHarness::MakeRunner(PbtConfig config) const {
-  IndexHarnessOptions options = options_;
-  return PbtRunner<IndexOp>(
-      config,
-      [options](Rng& rng, const std::vector<IndexOp>& prefix) {
-        return GenIndexOp(rng, prefix, options);
-      },
-      [options](const std::vector<IndexOp>& ops) {
-        IndexConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const IndexOp& op) { return ShrinkIndexOp(op); });
-}
-
 // --- Chunk store harness ---------------------------------------------------------------
 
 std::string ChunkOp::ToString() const {
@@ -298,8 +279,8 @@ std::string ChunkOp::ToString() const {
   return out.str();
 }
 
-ChunkOp GenChunkOp(Rng& rng, const std::vector<ChunkOp>& prefix,
-                   const ChunkHarnessOptions& options) {
+ChunkOp ChunkConformanceHarness::Gen(Rng& rng, const std::vector<ChunkOp>& prefix,
+                                     const ChunkHarnessOptions& options) {
   std::vector<uint32_t> weights = {/*Get*/ 25, /*Put*/ 30, /*Forget*/ 15, /*Reclaim*/ 15,
                                    /*Pump*/ 15};
   ChunkOp op;
@@ -313,7 +294,7 @@ ChunkOp GenChunkOp(Rng& rng, const std::vector<ChunkOp>& prefix,
   return op;
 }
 
-std::vector<ChunkOp> ShrinkChunkOp(const ChunkOp& op) {
+std::vector<ChunkOp> ChunkConformanceHarness::Shrink(const ChunkOp& op) {
   std::vector<ChunkOp> out;
   if (op.pick > 0) {
     ChunkOp smaller = op;
@@ -380,11 +361,7 @@ std::optional<std::string> ChunkConformanceHarness::Run(const std::vector<ChunkO
   ChunkStoreModel model;
   HarnessReclaimClient client;
   std::set<ChunkStoreModel::ModelLocator> ever_issued;
-
-  auto fail = [&](size_t i, const std::string& what) {
-    return std::optional<std::string>("op#" + std::to_string(i) + " " + ops[i].ToString() +
-                                      ": " + what);
-  };
+  Violations<ChunkOp> fail("chunk_conformance", ops);
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const ChunkOp& op = ops[i];
@@ -460,25 +437,11 @@ std::optional<std::string> ChunkConformanceHarness::Run(const std::vector<ChunkO
     auto impl_or = chunks.Get(client.live[c].impl);
     std::optional<Bytes> expected = model.Get(client.live[c].model);
     if (!impl_or.ok() || !expected.has_value() || impl_or.value() != *expected) {
-      return std::optional<std::string>("final sweep: live chunk " + std::to_string(c) +
-                                        " lost or corrupt");
+      return fail(ops.size(),
+                  "final sweep: live chunk " + std::to_string(c) + " lost or corrupt");
     }
   }
   return std::nullopt;
-}
-
-PbtRunner<ChunkOp> ChunkConformanceHarness::MakeRunner(PbtConfig config) const {
-  ChunkHarnessOptions options = options_;
-  return PbtRunner<ChunkOp>(
-      config,
-      [options](Rng& rng, const std::vector<ChunkOp>& prefix) {
-        return GenChunkOp(rng, prefix, options);
-      },
-      [options](const std::vector<ChunkOp>& ops) {
-        ChunkConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const ChunkOp& op) { return ShrinkChunkOp(op); });
 }
 
 }  // namespace ss

@@ -45,23 +45,16 @@ struct IndexOp {
 struct IndexHarnessOptions {
   DiskGeometry geometry{.extent_count = 16, .pages_per_extent = 16, .page_size = 256};
   uint64_t key_bound = 16;
-  // Passed through to LsmIndex::Open — lets tests arm seeded LSM bugs (e.g. the
-  // tombstone-drop-above-bottom variant) or tune level shape under the harness.
-  LsmOptions lsm;
 };
 
-IndexOp GenIndexOp(Rng& rng, const std::vector<IndexOp>& prefix,
-                   const IndexHarnessOptions& options);
-std::vector<IndexOp> ShrinkIndexOp(const IndexOp& op);
-
-class IndexConformanceHarness {
+class IndexConformanceHarness
+    : public PbtHarness<IndexConformanceHarness, IndexOp, IndexHarnessOptions> {
  public:
-  explicit IndexConformanceHarness(IndexHarnessOptions options) : options_(options) {}
+  using PbtHarness::PbtHarness;
+  static IndexOp Gen(Rng& rng, const std::vector<IndexOp>& prefix,
+                     const IndexHarnessOptions& options);
+  static std::vector<IndexOp> Shrink(const IndexOp& op);
   std::optional<std::string> Run(const std::vector<IndexOp>& ops);
-  PbtRunner<IndexOp> MakeRunner(PbtConfig config) const;
-
- private:
-  IndexHarnessOptions options_;
 };
 
 // --- Chunk store harness ---------------------------------------------------------------
@@ -87,18 +80,14 @@ struct ChunkHarnessOptions {
   size_t max_payload = 1024;
 };
 
-ChunkOp GenChunkOp(Rng& rng, const std::vector<ChunkOp>& prefix,
-                   const ChunkHarnessOptions& options);
-std::vector<ChunkOp> ShrinkChunkOp(const ChunkOp& op);
-
-class ChunkConformanceHarness {
+class ChunkConformanceHarness
+    : public PbtHarness<ChunkConformanceHarness, ChunkOp, ChunkHarnessOptions> {
  public:
-  explicit ChunkConformanceHarness(ChunkHarnessOptions options) : options_(options) {}
+  using PbtHarness::PbtHarness;
+  static ChunkOp Gen(Rng& rng, const std::vector<ChunkOp>& prefix,
+                     const ChunkHarnessOptions& options);
+  static std::vector<ChunkOp> Shrink(const ChunkOp& op);
   std::optional<std::string> Run(const std::vector<ChunkOp>& ops);
-  PbtRunner<ChunkOp> MakeRunner(PbtConfig config) const;
-
- private:
-  ChunkHarnessOptions options_;
 };
 
 }  // namespace ss

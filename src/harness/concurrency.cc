@@ -186,12 +186,11 @@ std::function<void()> MakeScanFlushBody() {
   };
 }
 
-std::function<void()> MakeScanCompactBody(bool seeded_tombstone_bug) {
-  return [seeded_tombstone_bug] {
+std::function<void()> MakeScanCompactBody() {
+  return [] {
     std::shared_ptr<Disk> disk = std::make_shared<InMemoryDisk>(SmallGeometry());
     ShardStoreOptions options;
     options.chunk.max_payload_bytes = 400;
-    options.lsm.seeded_bug_drop_tombstones_above_bottom = seeded_tombstone_bug;
     auto store_or = ShardStore::Open(disk.get(), options);
     MC_CHECK(store_or.ok(), "open failed");
     std::shared_ptr<ShardStore> store(std::move(store_or).value());
@@ -417,12 +416,11 @@ std::function<void()> MakeLinearizabilityBody() {
   };
 }
 
-std::function<void()> MakePutMigrateBody(bool legacy_route_commit) {
-  return [legacy_route_commit] {
+std::function<void()> MakePutMigrateBody() {
+  return [] {
     NodeServerOptions options;
     options.disk_count = 2;
     options.geometry = SmallGeometry();
-    options.legacy_unconditional_route_commit = legacy_route_commit;
     auto node_or = NodeServer::Create(options);
     MC_CHECK(node_or.ok(), "node create failed");
     std::shared_ptr<NodeServer> node(std::move(node_or).value());
@@ -498,12 +496,11 @@ std::function<void()> MakePutBatchMigrateBody() {
   };
 }
 
-std::function<void()> MakePutEvacuateBody(bool legacy_route_commit) {
-  return [legacy_route_commit] {
+std::function<void()> MakePutEvacuateBody() {
+  return [] {
     NodeServerOptions options;
     options.disk_count = 2;
     options.geometry = SmallGeometry();
-    options.legacy_unconditional_route_commit = legacy_route_commit;
     auto node_or = NodeServer::Create(options);
     MC_CHECK(node_or.ok(), "node create failed");
     std::shared_ptr<NodeServer> node(std::move(node_or).value());

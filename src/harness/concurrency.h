@@ -32,9 +32,9 @@ std::function<void()> MakeScanFlushBody();
 // Range scan ∥ CompactLevel: compaction rewrites runs (including dropping tombstones
 // at the bottom) while a scan merges across the levels. Compaction never changes the
 // logical mapping, so the scan must equal the exact expected live set under every
-// interleaving. With `seeded_tombstone_bug` the compactor drops tombstones above the
-// bottom level, resurrecting a deleted key — the checker finds the interleaving.
-std::function<void()> MakeScanCompactBody(bool seeded_tombstone_bug = false);
+// interleaving. Under seeded bug #18 the compactor drops tombstones above the bottom
+// level, resurrecting a deleted key — the checker finds the interleaving.
+std::function<void()> MakeScanCompactBody();
 
 // CompactLevel ∥ chunk reclamation: a partial level merge writes new run chunks whose
 // extents must stay pinned until the metadata references them, while a reclamation
@@ -59,14 +59,14 @@ std::function<void()> MakeLinearizabilityBody();
 
 // Request plane ∥ control plane routing commit: a Put racing a MigrateShard of the
 // same shard. The shard must remain reachable afterwards (with either the old or the
-// new value). With `legacy_route_commit` the node uses the pre-fix unconditional
-// directory commit, whose clobber leaves the directory pointing at the tombstoned
-// source copy — the model checker finds the resulting kNotFound.
-std::function<void()> MakePutMigrateBody(bool legacy_route_commit = false);
+// new value). Under seeded bug #19 the node uses the pre-fix unconditional directory
+// commit, whose clobber leaves the directory pointing at the tombstoned source copy —
+// the model checker finds the resulting kNotFound.
+std::function<void()> MakePutMigrateBody();
 
 // Same race through the evacuation path: a Put racing EvacuateDisk of the shard's
 // owning disk.
-std::function<void()> MakePutEvacuateBody(bool legacy_route_commit = false);
+std::function<void()> MakePutEvacuateBody();
 
 // Batched variant of the routing-commit race: a PutBatch covering the migrating shard
 // (plus a bystander) racing MigrateShard. Batch routing commits are always per-item

@@ -1,110 +1,26 @@
 #include "src/harness/crash_enum.h"
 
-#include <sstream>
-
-#include "src/model/models.h"
-
 namespace ss {
 
 namespace {
 
-// One deterministic run: apply the ops, crash with `plan`, recover, sweep. Returns the
-// violation (if any) and reports the crash's decision count.
+// One deterministic run: apply the ops through the kv harness's op step, crash with
+// `plan`, recover, sweep. Returns the violation (if any) and reports the crash's
+// decision count.
 std::optional<std::string> RunOnce(const std::vector<KvOp>& ops,
-                                   const CrashEnumOptions& options,
+                                   const KvHarnessOptions& options,
                                    const std::vector<bool>& plan, size_t* decisions_used) {
-  InMemoryDisk disk(options.geometry);
-  auto store_or = ShardStore::Open(&disk, options.store);
-  if (!store_or.ok()) {
-    return "open failed: " + store_or.status().ToString();
+  KvRun run(options, ops);
+  if (auto err = run.Open(); err.has_value()) {
+    return err;
   }
-  std::unique_ptr<ShardStore> store = std::move(store_or).value();
-  KvStoreModel model;
-
   for (size_t i = 0; i < ops.size(); ++i) {
-    const KvOp& op = ops[i];
-    switch (op.kind) {
-      case KvOpKind::kPut: {
-        auto dep_or = store->Put(op.id, op.value);
-        if (dep_or.ok()) {
-          model.Put(op.id, op.value, dep_or.value());
-        } else if (dep_or.code() != StatusCode::kResourceExhausted) {
-          return "op#" + std::to_string(i) + " put failed: " + dep_or.status().ToString();
-        }
-        break;
-      }
-      case KvOpKind::kDelete: {
-        auto dep_or = store->Delete(op.id);
-        if (!dep_or.ok()) {
-          return "op#" + std::to_string(i) + " delete failed";
-        }
-        model.Delete(op.id, dep_or.value());
-        break;
-      }
-      case KvOpKind::kFlushIndex:
-        (void)store->FlushIndex();
-        break;
-      case KvOpKind::kCompactIndex:
-        (void)store->CompactIndex();
-        break;
-      case KvOpKind::kReclaim: {
-        std::vector<ExtentId> candidates = store->chunks().ReclaimableExtents();
-        if (!candidates.empty()) {
-          (void)store->ReclaimExtent(candidates[op.arg % candidates.size()]);
-        }
-        break;
-      }
-      case KvOpKind::kPumpIo:
-        store->PumpIo(op.arg);
-        break;
-      case KvOpKind::kPutBatch: {
-        std::vector<StoreBatchItem> items;
-        items.reserve(op.batch.size());
-        for (const auto& [id, value] : op.batch) {
-          items.push_back({id, value});
-        }
-        StoreBatchResult result = store->ApplyBatch(items);
-        for (size_t k = 0; k < result.items.size(); ++k) {
-          const StoreBatchItemResult& item = result.items[k];
-          if (item.status.ok()) {
-            model.Put(op.batch[k].first, op.batch[k].second, item.dep);
-          } else if (item.status.code() != StatusCode::kResourceExhausted) {
-            return "op#" + std::to_string(i) + " batch item " + std::to_string(k) +
-                   " failed: " + item.status.ToString();
-          }
-        }
-        break;
-      }
-      default:
-        return "op kind not supported by the crash enumerator";
+    if (auto err = run.Step(i); err.has_value()) {
+      return err;
     }
   }
-
-  store->scheduler().CrashScripted(plan, decisions_used);
-  store.reset();
-  disk.fault_injector().Clear();
-  auto reopened = ShardStore::Open(&disk, options.store);
-  if (!reopened.ok()) {
-    return "crash recovery failed: " + reopened.status().ToString();
-  }
-  store = std::move(reopened).value();
-
-  for (ShardId id : model.TouchedKeys()) {
-    std::optional<Bytes> observed;
-    auto got = store->Get(id);
-    if (got.ok()) {
-      observed = std::move(got).value();
-    } else if (got.code() != StatusCode::kNotFound) {
-      return "post-crash read error on shard " + std::to_string(id) + ": " +
-             got.status().ToString();
-    }
-    if (!model.AdoptPostCrash(id, observed)) {
-      return "shard " + std::to_string(id) +
-             (observed.has_value() ? " surfaced a value outside the crash-allowed set"
-                                   : " lost: a persisted mutation is unreadable");
-    }
-  }
-  return std::nullopt;
+  run.store().scheduler().CrashScripted(plan, decisions_used);
+  return run.RecoverFromCrash(ops.size());
 }
 
 }  // namespace
@@ -112,12 +28,22 @@ std::optional<std::string> RunOnce(const std::vector<KvOp>& ops,
 CrashEnumResult EnumerateCrashStates(const std::vector<KvOp>& ops,
                                      const CrashEnumOptions& options) {
   CrashEnumResult result;
+  for (const KvOp& op : ops) {
+    if (op.kind == KvOpKind::kReboot || op.kind == KvOpKind::kDirtyReboot ||
+        op.kind == KvOpKind::kFailReadOnce || op.kind == KvOpKind::kFailWriteOnce) {
+      result.violation = "op kind not supported by the crash enumerator: " + op.ToString();
+      return result;
+    }
+  }
+  KvHarnessOptions run_options;
+  run_options.geometry = options.geometry;
+  run_options.store = options.store;
   // DFS odometer over binary decision strings: false ("cut") is the first branch,
   // true ("persist") the second; depth adapts to the decisions each run consumes.
   std::vector<bool> plan;
   while (result.states_explored < options.max_states) {
     size_t used = 0;
-    std::optional<std::string> violation = RunOnce(ops, options, plan, &used);
+    std::optional<std::string> violation = RunOnce(ops, run_options, plan, &used);
     ++result.states_explored;
     if (violation.has_value()) {
       result.violation = std::move(violation);

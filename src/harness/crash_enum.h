@@ -35,10 +35,10 @@ struct CrashEnumOptions {
   size_t max_states = 100000;
 };
 
-// Runs `ops` (puts/deletes/flushes/pumps only; reboot/crash ops are rejected) from a
-// fresh store, then enumerates every crash state at the end of the sequence: for each,
-// recovers and checks the section-5 persistence/consistency sweep against the
-// crash-allowed sets of the reference model.
+// Runs `ops` from a fresh store through the kv harness's op step (reboots, crashes and
+// fault injection are rejected), then enumerates every crash state at the end of the
+// sequence: for each, recovers and checks the section-5 persistence/consistency sweep
+// against the crash-allowed sets of the reference model.
 CrashEnumResult EnumerateCrashStates(const std::vector<KvOp>& ops,
                                      const CrashEnumOptions& options);
 

@@ -3,9 +3,31 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/obs/flight_recorder.h"
+#include "src/harness/checks.h"
 
 namespace ss {
+
+namespace {
+
+// The fault-aware error oracle for one request-plane result: kUnavailable needs a
+// service/health cause on the routed disk, kIoError/kDiskFailed an armed injector.
+std::optional<std::string> JudgeFaultError(const Status& status, bool gated, bool armed) {
+  if (status.code() == StatusCode::kUnavailable) {
+    if (gated) {
+      return std::nullopt;
+    }
+    return std::string("Unavailable without a service/health cause");
+  }
+  if (status.code() == StatusCode::kIoError || status.code() == StatusCode::kDiskFailed) {
+    if (armed) {
+      return std::nullopt;
+    }
+    return "IO error with no fault armed: " + status.ToString();
+  }
+  return "unexpected error: " + status.ToString();
+}
+
+}  // namespace
 
 std::string FailureOp::ToString() const {
   static const char* kNames[] = {"Get",          "Put",          "Delete",
@@ -56,8 +78,8 @@ std::string FailureOp::ToString() const {
   return out.str();
 }
 
-FailureOp GenFailureOp(Rng& rng, const std::vector<FailureOp>& prefix,
-                       const FailureHarnessOptions& options) {
+FailureOp FailureConformanceHarness::Gen(Rng& rng, const std::vector<FailureOp>& prefix,
+                                         const FailureHarnessOptions& options) {
   std::vector<uint32_t> weights = {/*Get*/ 20,      /*Put*/ 25,      /*Delete*/ 8,
                                    /*PumpIo*/ 5,    /*FlushAll*/ 5,  /*Clear*/ 6,
                                    /*ResetH*/ 4,    /*ArmRead*/ 9,   /*ArmWrite*/ 9,
@@ -135,7 +157,7 @@ FailureOp GenFailureOp(Rng& rng, const std::vector<FailureOp>& prefix,
   return op;
 }
 
-std::vector<FailureOp> ShrinkFailureOp(const FailureOp& op) {
+std::vector<FailureOp> FailureConformanceHarness::Shrink(const FailureOp& op) {
   std::vector<FailureOp> out;
   if (op.id > 0) {
     FailureOp smaller = op;
@@ -173,21 +195,13 @@ std::vector<FailureOp> ShrinkFailureOp(const FailureOp& op) {
 }
 
 std::optional<std::string> FailureConformanceHarness::Run(const std::vector<FailureOp>& ops) {
-  // Recorder armed means this is the diagnostic re-run of a minimized sequence: lint
-  // the dependency graph at every barrier and persist analysis reports as artifacts.
-  std::optional<ScopedDepLint> lint;
-  std::optional<ScopedLockOrderFlightSink> lockorder_sink;
-  std::optional<ScopedDepLintFlightSink> deplint_sink;
-  if (options_.recorder != nullptr) {
-    lint.emplace(true);
-    lockorder_sink.emplace(options_.recorder);
-    deplint_sink.emplace(options_.recorder);
-  }
+  Violations<FailureOp> fail("failure_conformance", ops, options_.recorder);
   auto node_or = NodeServer::Create(options_.node);
   if (!node_or.ok()) {
     return "node create failed: " + node_or.status().ToString();
   }
   std::unique_ptr<NodeServer> node = std::move(node_or).value();
+  fail.set_capture([&node](FlightRecord& record) { CaptureNode(*node, record); });
   // Metric oracle: every request-plane call this harness issues must show up as
   // exactly one rpc.<op>.{ok,err} increment and exactly one span.rpc.<op>.ticks
   // sample. Counted locally, checked against snapshot deltas at the end.
@@ -201,23 +215,6 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
   // Forward-progress log: (owning disk at op time, dependency). Entries for a disk are
   // dropped when that disk crash-reboots — their writebacks died with the scheduler.
   std::vector<std::pair<int, Dependency>> dep_log;
-
-  auto fail = [&](size_t i, const std::string& what) {
-    const std::string message =
-        "op#" + std::to_string(i) + " " + ops[i].ToString() + ": " + what;
-    if (options_.recorder != nullptr) {
-      FlightRecord record;
-      record.harness = "failure_conformance";
-      record.violation = message;
-      record.ops.reserve(ops.size());
-      for (const FailureOp& o : ops) {
-        record.ops.push_back(o.ToString());
-      }
-      CaptureNode(*node, record);
-      (void)options_.recorder->Write(record);
-    }
-    return std::optional<std::string>(message);
-  };
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const FailureOp& op = ops[i];
@@ -233,26 +230,11 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
       case FailureOpKind::kGet: {
         auto got = node->Get(op.id);
         ++gets_issued;
-        std::optional<Bytes> expected = model.Get(op.id);
-        if (got.ok()) {
-          if (!expected.has_value() || got.value().value != *expected) {
-            return fail(i, "wrong or phantom data");
-          }
-        } else if (got.code() == StatusCode::kNotFound) {
-          if (expected.has_value()) {
-            return fail(i, "acknowledged write lost");
-          }
-        } else if (got.code() == StatusCode::kUnavailable) {
-          if (!read_gated) {
-            return fail(i, "Unavailable without a service/health cause");
-          }
-        } else if (got.code() == StatusCode::kIoError ||
-                   got.code() == StatusCode::kDiskFailed) {
-          if (!armed) {
-            return fail(i, "IO error with no fault armed: " + got.status().ToString());
-          }
-        } else {
-          return fail(i, "unexpected error: " + got.status().ToString());
+        auto err = CheckRead(op.id, model.Get(op.id), got, [&](const Status& status) {
+          return JudgeFaultError(status, read_gated, armed);
+        });
+        if (err.has_value()) {
+          return fail(i, *err);
         }
         break;
       }
@@ -262,19 +244,12 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         if (dep_or.ok()) {
           model.Put(op.id, op.value, dep_or.value().dep);
           dep_log.emplace_back(routed, dep_or.value().dep);
-        } else if (dep_or.code() == StatusCode::kUnavailable) {
-          if (!write_gated) {
-            return fail(i, "Unavailable without a service/health cause");
-          }
-        } else if (dep_or.code() == StatusCode::kIoError ||
-                   dep_or.code() == StatusCode::kDiskFailed) {
+        } else if (dep_or.code() != StatusCode::kResourceExhausted) {
           // A failed mutation must be an atomic no-op; the model keeps the old value
           // and the final sweep (plus any later Get) checks that is what is served.
-          if (!armed) {
-            return fail(i, "IO error with no fault armed: " + dep_or.status().ToString());
+          if (auto err = JudgeFaultError(dep_or.status(), write_gated, armed)) {
+            return fail(i, *err);
           }
-        } else if (dep_or.code() != StatusCode::kResourceExhausted) {
-          return fail(i, "unexpected error: " + dep_or.status().ToString());
         }
         break;
       }
@@ -284,17 +259,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
         if (dep_or.ok()) {
           model.Delete(op.id, dep_or.value().dep);
           dep_log.emplace_back(routed, dep_or.value().dep);
-        } else if (dep_or.code() == StatusCode::kUnavailable) {
-          if (!write_gated) {
-            return fail(i, "Unavailable without a service/health cause");
-          }
-        } else if (dep_or.code() == StatusCode::kIoError ||
-                   dep_or.code() == StatusCode::kDiskFailed) {
-          if (!armed) {
-            return fail(i, "IO error with no fault armed: " + dep_or.status().ToString());
-          }
-        } else {
-          return fail(i, "unexpected error: " + dep_or.status().ToString());
+        } else if (auto err = JudgeFaultError(dep_or.status(), write_gated, armed)) {
+          return fail(i, *err);
         }
         break;
       }
@@ -430,20 +396,10 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
           if (item.status.ok()) {
             model.Put(op.batch[k].first, op.batch[k].second, item.dep);
             dep_log.emplace_back(item.disk, item.dep);
-          } else if (item.status.code() == StatusCode::kUnavailable) {
-            if (!pre[k].write_gated) {
-              return fail(i, "batch item " + std::to_string(k) +
-                                 " Unavailable without a service/health cause");
-            }
-          } else if (item.status.code() == StatusCode::kIoError ||
-                     item.status.code() == StatusCode::kDiskFailed) {
-            if (!pre[k].armed) {
-              return fail(i, "batch item " + std::to_string(k) +
-                                 " IO error with no fault armed: " + item.status.ToString());
-            }
           } else if (item.status.code() != StatusCode::kResourceExhausted) {
-            return fail(i, "batch item " + std::to_string(k) +
-                               " unexpected error: " + item.status.ToString());
+            if (auto err = JudgeFaultError(item.status, pre[k].write_gated, pre[k].armed)) {
+              return fail(i, "batch item " + std::to_string(k) + " " + *err);
+            }
           }
         }
         break;
@@ -458,8 +414,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
   for (int d = 0; d < node->disk_count(); ++d) {
     if (!node->InService(d)) {
       if (Status status = node->RestoreDisk(d); !status.ok()) {
-        return std::optional<std::string>("final restore of disk " + std::to_string(d) +
-                                          " failed: " + status.ToString());
+        return fail(ops.size(), "final restore of disk " + std::to_string(d) +
+                                    " failed: " + status.ToString());
       }
     }
     // Reset unconditionally: even when the node-level health still reads healthy, the
@@ -467,39 +423,26 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
     // permanent fault with no request-plane op afterwards to absorb it), and the first
     // sweep read would absorb it and gate the disk.
     if (Status status = node->ResetDiskHealth(d); !status.ok()) {
-      return std::optional<std::string>("final health reset of disk " + std::to_string(d) +
-                                        " failed: " + status.ToString());
+      return fail(ops.size(), "final health reset of disk " + std::to_string(d) +
+                                  " failed: " + status.ToString());
     }
   }
   if (Status status = node->FlushAllDisks(); !status.ok()) {
-    return std::optional<std::string>("final flush failed: " + status.ToString());
+    return fail(ops.size(), "final flush failed: " + status.ToString());
   }
   for (const auto& [disk, dep] : dep_log) {
     if (!dep.IsPersistent()) {
-      return std::optional<std::string>(
-          "forward progress: dependency on disk " + std::to_string(disk) +
-          " not persistent after faults cleared and all disks flushed");
+      return fail(ops.size(), "forward progress: dependency on disk " + std::to_string(disk) +
+                                  " not persistent after faults cleared and all disks flushed");
     }
   }
+  // With every fault cleared and health reset, read errors are forward-progress
+  // violations outright.
   for (ShardId id : model.TouchedKeys()) {
-    std::optional<Bytes> expected = model.Get(id);
     auto got = node->Get(id);
     ++gets_issued;
-    if (got.ok()) {
-      if (!expected.has_value() || got.value().value != *expected) {
-        return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
-                                          " wrong or phantom");
-      }
-    } else if (got.code() == StatusCode::kNotFound) {
-      if (expected.has_value()) {
-        return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
-                                          " lost across the fault sequence");
-      }
-    } else {
-      // With every fault cleared and health reset, errors are forward-progress
-      // violations outright.
-      return std::optional<std::string>("final sweep: error on shard " + std::to_string(id) +
-                                        " after faults cleared: " + got.status().ToString());
+    if (auto err = CheckRead(id, model.Get(id), got); err.has_value()) {
+      return fail(ops.size(), "final sweep: " + *err);
     }
   }
 
@@ -513,7 +456,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
       CounterDelta(metrics_before, metrics_after, "rpc.delete.ok") +
       CounterDelta(metrics_before, metrics_after, "rpc.delete.err");
   if (put_delta != puts_issued || get_delta != gets_issued || delete_delta != deletes_issued) {
-    return std::optional<std::string>(
+    return fail(
+        ops.size(),
         "metric oracle: rpc counter deltas put=" + std::to_string(put_delta) + "/" +
         std::to_string(puts_issued) + " get=" + std::to_string(get_delta) + "/" +
         std::to_string(gets_issued) + " delete=" + std::to_string(delete_delta) + "/" +
@@ -526,7 +470,8 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
       CounterDelta(metrics_before, metrics_after, "rpc.batch.item_ok") +
       CounterDelta(metrics_before, metrics_after, "rpc.batch.item_err");
   if (batch_delta != batches_issued || batch_item_delta != batch_items_issued) {
-    return std::optional<std::string>(
+    return fail(
+        ops.size(),
         "metric oracle: batch counter deltas batches=" + std::to_string(batch_delta) + "/" +
         std::to_string(batches_issued) + " items=" + std::to_string(batch_item_delta) + "/" +
         std::to_string(batch_items_issued) + " disagree with ops issued");
@@ -542,26 +487,12 @@ std::optional<std::string> FailureConformanceHarness::Run(const std::vector<Fail
     const uint64_t recorded =
         metrics_after.histogram_count(name) - metrics_before.histogram_count(name);
     if (recorded != issued) {
-      return std::optional<std::string>("metric oracle: " + std::string(name) + " recorded " +
-                                        std::to_string(recorded) + " spans for " +
-                                        std::to_string(issued) + " ops issued");
+      return fail(ops.size(), "metric oracle: " + std::string(name) + " recorded " +
+                                  std::to_string(recorded) + " spans for " +
+                                  std::to_string(issued) + " ops issued");
     }
   }
   return std::nullopt;
-}
-
-PbtRunner<FailureOp> FailureConformanceHarness::MakeRunner(PbtConfig config) const {
-  FailureHarnessOptions options = options_;
-  return PbtRunner<FailureOp>(
-      config,
-      [options](Rng& rng, const std::vector<FailureOp>& prefix) {
-        return GenFailureOp(rng, prefix, options);
-      },
-      [options](const std::vector<FailureOp>& ops) {
-        FailureConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const FailureOp& op) { return ShrinkFailureOp(op); });
 }
 
 }  // namespace ss

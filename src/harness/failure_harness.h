@@ -83,18 +83,14 @@ struct FailureHarnessOptions {
   FlightRecorder* recorder = nullptr;
 };
 
-FailureOp GenFailureOp(Rng& rng, const std::vector<FailureOp>& prefix,
-                       const FailureHarnessOptions& options);
-std::vector<FailureOp> ShrinkFailureOp(const FailureOp& op);
-
-class FailureConformanceHarness {
+class FailureConformanceHarness
+    : public PbtHarness<FailureConformanceHarness, FailureOp, FailureHarnessOptions> {
  public:
-  explicit FailureConformanceHarness(FailureHarnessOptions options) : options_(options) {}
+  using PbtHarness::PbtHarness;
+  static FailureOp Gen(Rng& rng, const std::vector<FailureOp>& prefix,
+                       const FailureHarnessOptions& options);
+  static std::vector<FailureOp> Shrink(const FailureOp& op);
   std::optional<std::string> Run(const std::vector<FailureOp>& ops);
-  PbtRunner<FailureOp> MakeRunner(PbtConfig config) const;
-
- private:
-  FailureHarnessOptions options_;
 };
 
 }  // namespace ss

@@ -1,7 +1,9 @@
 #include "src/harness/fig5.h"
 
 #include <cstdint>
+#include <set>
 
+#include "src/harness/cluster_harness.h"
 #include "src/harness/component_harness.h"
 #include "src/harness/concurrency.h"
 #include "src/harness/kv_harness.h"
@@ -14,14 +16,18 @@ namespace {
 // Which checker catches which bug (the paper's section per Figure 5 row).
 enum class Checker : uint8_t {
   kPbtConformance,       // section 4: sequential conformance vs the reference model
+  kPbtRpcConformance,    // section 4: node-level conformance with the control plane
   kPbtCrashConsistency,  // section 5: conformance with DirtyReboot crash states
   kPbtFailureInjection,  // section 4.4: conformance with injected IO failures
   kPbtChunkComponent,    // section 4: chunk-store component harness (model invariants)
+  kPbtClusterQuorum,     // section 4.4 at the cluster tier: quorum fault storms
   kMcFig4,               // section 6: Figure 4 index harness under the model checker
   kMcFlushReclaim,       // section 6: narrow flush/reclamation window harness
   kMcBufferPool,         // section 6: deadlock detection
   kMcListRemove,         // section 6: control-plane race
   kMcBulk,               // section 6: bulk-op atomicity
+  kMcScanCompact,        // section 6: range scan vs partial level merge
+  kMcPutMigrate,         // section 6: request-plane routing commit vs migration
 };
 
 Checker CheckerFor(SeededBug bug) {
@@ -31,7 +37,7 @@ Checker CheckerFor(SeededBug bug) {
     case SeededBug::kShutdownMetadataSkipAfterReset:
       return Checker::kPbtConformance;
     case SeededBug::kDiskRemovalLosesShards:
-      return Checker::kPbtConformance;  // runs the RPC-level harness (see below)
+      return Checker::kPbtRpcConformance;
     case SeededBug::kReclaimForgetsChunkOnReadError:
       return Checker::kPbtFailureInjection;
     case SeededBug::kSuperblockWrongOwnershipDep:
@@ -52,6 +58,12 @@ Checker CheckerFor(SeededBug bug) {
       return Checker::kPbtChunkComponent;
     case SeededBug::kBulkCreateRemoveRace:
       return Checker::kMcBulk;
+    case SeededBug::kReadRepairWrongValue:
+      return Checker::kPbtClusterQuorum;
+    case SeededBug::kDropTombstonesAboveBottom:
+      return Checker::kMcScanCompact;
+    case SeededBug::kUnconditionalRouteCommit:
+      return Checker::kMcPutMigrate;
   }
   return Checker::kPbtConformance;
 }
@@ -60,12 +72,16 @@ std::string_view CheckerName(Checker checker) {
   switch (checker) {
     case Checker::kPbtConformance:
       return "property-based conformance (sec 4)";
+    case Checker::kPbtRpcConformance:
+      return "RPC-level conformance (sec 4)";
     case Checker::kPbtCrashConsistency:
       return "crash-consistency conformance (sec 5)";
     case Checker::kPbtFailureInjection:
       return "failure-injection conformance (sec 4.4)";
     case Checker::kPbtChunkComponent:
       return "chunk-store component conformance (sec 4)";
+    case Checker::kPbtClusterQuorum:
+      return "cluster quorum conformance (sec 4.4)";
     case Checker::kMcFig4:
       return "stateless model checking, Fig 4 harness (sec 6)";
     case Checker::kMcFlushReclaim:
@@ -76,14 +92,43 @@ std::string_view CheckerName(Checker checker) {
       return "stateless model checking, list/remove (sec 6)";
     case Checker::kMcBulk:
       return "stateless model checking, bulk ops (sec 6)";
+    case Checker::kMcScanCompact:
+      return "stateless model checking, scan/compact (sec 6)";
+    case Checker::kMcPutMigrate:
+      return "stateless model checking, put/migrate (sec 6)";
   }
   return "?";
 }
 
-template <typename Op>
-void FillFromPbt(const std::optional<PbtFailure<Op>>& failure, size_t cases_run,
-                 Fig5Detection& out) {
-  out.cases_or_execs = cases_run;
+// The model-checking body for an MC checker; null for a PBT checker.
+std::function<void()> McBody(Checker checker) {
+  switch (checker) {
+    case Checker::kMcFig4:
+      return MakeFig4IndexBody();
+    case Checker::kMcFlushReclaim:
+      return MakeFlushReclaimBody();
+    case Checker::kMcBufferPool:
+      return MakeBufferPoolBody();
+    case Checker::kMcListRemove:
+      return MakeListRemoveBody();
+    case Checker::kMcBulk:
+      return MakeBulkAtomicityBody();
+    case Checker::kMcScanCompact:
+      return MakeScanCompactBody();
+    case Checker::kMcPutMigrate:
+      return MakePutMigrateBody();
+    default:
+      return nullptr;
+  }
+}
+
+// Runs one PBT harness and records what it found.
+template <typename Harness>
+void RunPbt(const typename Harness::Options& options, const PbtConfig& config,
+            Fig5Detection& out) {
+  auto runner = Harness(options).MakeRunner(config);
+  const auto failure = runner.Run();
+  out.cases_or_execs = runner.stats().cases_run;
   if (failure.has_value()) {
     out.detected = true;
     out.message = failure->message;
@@ -93,81 +138,45 @@ void FillFromPbt(const std::optional<PbtFailure<Op>>& failure, size_t cases_run,
   }
 }
 
-Fig5Detection RunChecker(SeededBug bug, Checker checker, const Fig5Budget& budget) {
+// Runs `checker` within `budget`; `mc_seed` seeds the PCT priority stream.
+Fig5Detection RunChecker(Checker checker, const Fig5Budget& budget, uint64_t mc_seed) {
   Fig5Detection out;
-  out.bug = bug;
   out.checker = std::string(CheckerName(checker));
+  const PbtConfig pbt{.seed = budget.seed, .num_cases = budget.pbt_cases};
 
   switch (checker) {
-    case Checker::kPbtConformance: {
-      if (bug == SeededBug::kDiskRemovalLosesShards) {
-        RpcConformanceHarness harness{RpcHarnessOptions{}};
-        auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                                   .num_cases = budget.pbt_cases});
-        auto failure = runner.Run();
-        FillFromPbt(failure, runner.stats().cases_run, out);
-        break;
-      }
-      KvHarnessOptions options;
-      KvConformanceHarness harness(options);
-      auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                                 .num_cases = budget.pbt_cases});
-      auto failure = runner.Run();
-      FillFromPbt(failure, runner.stats().cases_run, out);
+    case Checker::kPbtConformance:
+      RunPbt<KvConformanceHarness>({}, pbt, out);
       break;
-    }
+    case Checker::kPbtRpcConformance:
+      RunPbt<RpcConformanceHarness>({}, pbt, out);
+      break;
     case Checker::kPbtCrashConsistency: {
       KvHarnessOptions options;
       options.crashes = true;
-      KvConformanceHarness harness(options);
-      auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                                 .num_cases = budget.pbt_cases,
-                                                 .max_ops = 80});
-      auto failure = runner.Run();
-      FillFromPbt(failure, runner.stats().cases_run, out);
+      PbtConfig config = pbt;
+      config.max_ops = 80;
+      RunPbt<KvConformanceHarness>(options, config, out);
       break;
     }
     case Checker::kPbtFailureInjection: {
       KvHarnessOptions options;
       options.failure_injection = true;
-      KvConformanceHarness harness(options);
-      auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                                 .num_cases = budget.pbt_cases});
-      auto failure = runner.Run();
-      FillFromPbt(failure, runner.stats().cases_run, out);
+      RunPbt<KvConformanceHarness>(options, pbt, out);
       break;
     }
-    case Checker::kPbtChunkComponent: {
-      ChunkConformanceHarness harness{ChunkHarnessOptions{}};
-      auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                                 .num_cases = budget.pbt_cases});
-      auto failure = runner.Run();
-      FillFromPbt(failure, runner.stats().cases_run, out);
+    case Checker::kPbtChunkComponent:
+      RunPbt<ChunkConformanceHarness>({}, pbt, out);
       break;
-    }
-    case Checker::kMcFig4:
-    case Checker::kMcFlushReclaim:
-    case Checker::kMcBufferPool:
-    case Checker::kMcListRemove:
-    case Checker::kMcBulk: {
-      std::function<void()> body;
-      if (checker == Checker::kMcFig4) {
-        body = MakeFig4IndexBody();
-      } else if (checker == Checker::kMcFlushReclaim) {
-        body = MakeFlushReclaimBody();
-      } else if (checker == Checker::kMcBufferPool) {
-        body = MakeBufferPoolBody();
-      } else if (checker == Checker::kMcListRemove) {
-        body = MakeListRemoveBody();
-      } else {
-        body = MakeBulkAtomicityBody();
-      }
+    case Checker::kPbtClusterQuorum:
+      RunPbt<ClusterConformanceHarness>({}, pbt, out);
+      break;
+    default: {
       McOptions mc;
       mc.strategy = McOptions::Strategy::kPct;
       mc.iterations = budget.mc_iterations;
-      // Decorrelate the PCT priority stream per bug.
-      mc.seed = budget.seed + static_cast<uint64_t>(bug) * 1009;
-      McResult result = McExplore(body, mc);
+      mc.seed = mc_seed;
+      McResult result = McExplore(McBody(checker), mc);
       out.cases_or_execs = result.executions;
       if (!result.ok) {
         out.detected = true;
@@ -187,66 +196,24 @@ Fig5Detection RunChecker(SeededBug bug, Checker checker, const Fig5Budget& budge
 
 Fig5Detection DetectSeededBug(SeededBug bug, const Fig5Budget& budget) {
   ScopedBug scope(bug);
-  return RunChecker(bug, CheckerFor(bug), budget);
-}
-
-std::vector<Fig5Detection> RunFig5Catalog(const Fig5Budget& budget) {
-  std::vector<Fig5Detection> out;
-  for (int b = 0; b < kSeededBugCount; ++b) {
-    out.push_back(DetectSeededBug(static_cast<SeededBug>(b), budget));
-  }
+  // Decorrelate the PCT priority stream per bug.
+  Fig5Detection out =
+      RunChecker(CheckerFor(bug), budget, budget.seed + static_cast<uint64_t>(bug) * 1009);
+  out.bug = bug;
   return out;
 }
 
 std::string RunFig5Baseline(const Fig5Budget& budget) {
   FaultRegistry::Global().DisableAll();
-  // Sequential conformance.
-  {
-    KvConformanceHarness harness{KvHarnessOptions{}};
-    auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                               .num_cases = budget.pbt_cases});
-    if (auto failure = runner.Run(); failure.has_value()) {
-      return "baseline conformance failed: " + failure->message;
+  std::set<Checker> run;
+  for (int b = 0; b < kSeededBugCount; ++b) {
+    const Checker checker = CheckerFor(static_cast<SeededBug>(b));
+    if (!run.insert(checker).second) {
+      continue;
     }
-  }
-  // Crash consistency.
-  {
-    KvHarnessOptions options;
-    options.crashes = true;
-    KvConformanceHarness harness(options);
-    auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                               .num_cases = budget.pbt_cases});
-    if (auto failure = runner.Run(); failure.has_value()) {
-      return "baseline crash consistency failed: " + failure->message;
-    }
-  }
-  // Failure injection.
-  {
-    KvHarnessOptions options;
-    options.failure_injection = true;
-    KvConformanceHarness harness(options);
-    auto runner = harness.MakeRunner(PbtConfig{.seed = budget.seed,
-                                               .num_cases = budget.pbt_cases});
-    if (auto failure = runner.Run(); failure.has_value()) {
-      return "baseline failure injection failed: " + failure->message;
-    }
-  }
-  // Model checking scenarios.
-  for (auto& [name, body] :
-       std::vector<std::pair<std::string, std::function<void()>>>{
-           {"fig4", MakeFig4IndexBody()},
-           {"flush-reclaim", MakeFlushReclaimBody()},
-           {"buffer-pool", MakeBufferPoolBody()},
-           {"list-remove", MakeListRemoveBody()},
-           {"bulk", MakeBulkAtomicityBody()},
-           {"linearizability", MakeLinearizabilityBody()}}) {
-    McOptions mc;
-    mc.strategy = McOptions::Strategy::kPct;
-    mc.iterations = budget.mc_iterations / 10 + 1;
-    mc.seed = budget.seed;
-    McResult result = McExplore(body, mc);
-    if (!result.ok) {
-      return "baseline MC scenario '" + name + "' failed: " + result.error;
+    Fig5Detection out = RunChecker(checker, budget, budget.seed);
+    if (out.detected) {
+      return "baseline " + out.checker + " failed: " + out.message;
     }
   }
   return "";

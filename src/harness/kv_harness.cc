@@ -5,7 +5,6 @@
 
 #include "src/chunk/chunk_format.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/span.h"
 
 namespace ss {
 
@@ -107,7 +106,8 @@ std::string KvOp::ToString() const {
   return out.str();
 }
 
-KvOp GenKvOp(Rng& rng, const std::vector<KvOp>& prefix, const KvHarnessOptions& options) {
+KvOp KvConformanceHarness::Gen(Rng& rng, const std::vector<KvOp>& prefix,
+                               const KvHarnessOptions& options) {
   // Weights over the alphabet (order matches KvOpKind).
   std::vector<uint32_t> weights = {
       /*Get*/ 24, /*Put*/ 30, /*Delete*/ 10, /*List*/ 3,  /*PumpIo*/ 10,
@@ -189,7 +189,7 @@ KvOp GenKvOp(Rng& rng, const std::vector<KvOp>& prefix, const KvHarnessOptions& 
   return op;
 }
 
-std::vector<KvOp> ShrinkKvOp(const KvOp& op) {
+std::vector<KvOp> KvConformanceHarness::Shrink(const KvOp& op) {
   std::vector<KvOp> out;
   // Toward-zero numeric shrinks.
   if (op.id > 0) {
@@ -242,392 +242,345 @@ std::vector<KvOp> ShrinkKvOp(const KvOp& op) {
 }
 
 std::optional<std::string> KvConformanceHarness::Run(const std::vector<KvOp>& ops) {
-  // With the recorder armed this is the one-shot diagnostic re-run: turn the
-  // dependency linter on for every barrier the run crosses and persist any analysis
-  // report (lock-order witness, dep lint) as its own flight artifact.
-  std::optional<ScopedDepLint> lint;
-  std::optional<ScopedLockOrderFlightSink> lockorder_sink;
-  std::optional<ScopedDepLintFlightSink> deplint_sink;
-  if (options_.recorder != nullptr) {
-    lint.emplace(true);
-    lockorder_sink.emplace(options_.recorder);
-    deplint_sink.emplace(options_.recorder);
+  KvRun run(options_, ops);
+  if (auto err = run.Open(); err.has_value()) {
+    return err;
   }
-  std::unique_ptr<Disk> disk_owner =
-      options_.disk_factory ? options_.disk_factory(options_.geometry)
-                            : std::make_unique<InMemoryDisk>(options_.geometry);
-  if (disk_owner == nullptr) {
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (auto err = run.Step(i); err.has_value()) {
+      return err;
+    }
+  }
+  return run.Finish();
+}
+
+KvRun::KvRun(const KvHarnessOptions& options, const std::vector<KvOp>& ops)
+    : options_(options), ops_(ops), fail_("kv_conformance", ops, options.recorder) {
+  fail_.set_capture([this](FlightRecord& record) {
+    if (store_ != nullptr) {
+      CaptureStore(*store_, record);
+    }
+    record.spans_json = spans_.ToJson();
+  });
+}
+
+std::optional<std::string> KvRun::Open() {
+  disk_ = options_.disk_factory ? options_.disk_factory(options_.geometry)
+                                : std::make_unique<InMemoryDisk>(options_.geometry);
+  if (disk_ == nullptr) {
     return "disk factory returned no disk";
   }
-  Disk& disk = *disk_owner;
-  ShardStoreOptions store_options = options_.store;
-  auto store_or = ShardStore::Open(&disk, store_options);
+  auto store_or = ShardStore::Open(disk_.get(), options_.store);
   if (!store_or.ok()) {
     return "initial open failed: " + store_or.status().ToString();
   }
-  std::unique_ptr<ShardStore> store = std::move(store_or).value();
+  store_ = std::move(store_or).value();
+  return std::nullopt;
+}
 
-  KvStoreModel model;
-  // Every dependency returned by a mutating op, for the forward-progress property.
-  std::vector<std::pair<size_t, Dependency>> dep_log;
-  bool faults_armed = false;
-  // Harness-local span tree: each data-plane op opens a root span threaded into the
-  // store, so a violation's artifact carries the causal tree of the failing run. No
-  // metric registry — the store's registry dies on reboot, and the tree outlives it.
-  SpanTree spans;
-
-  auto fail = [&](size_t i, const std::string& what) {
-    std::ostringstream out;
-    out << "op#" << i << " " << (i < ops.size() ? ops[i].ToString() : "<end>") << ": " << what;
-    if (options_.recorder != nullptr) {
-      FlightRecord record;
-      record.harness = "kv_conformance";
-      record.violation = out.str();
-      record.ops.reserve(ops.size());
-      for (const KvOp& o : ops) {
-        record.ops.push_back(o.ToString());
-      }
-      if (store != nullptr) {
-        CaptureStore(*store, record);
-      }
-      record.spans_json = spans.ToJson();
-      (void)options_.recorder->Write(record);
+std::optional<std::string> KvRun::Sweep(size_t i, const char* when) {
+  for (ShardId id : model_.TouchedKeys()) {
+    if (auto err = CheckRead(id, model_.Get(id), store_->Get(id)); err.has_value()) {
+      return fail_(i, std::string(when) + ": " + *err);
     }
-    return std::optional<std::string>(out.str());
-  };
-
-  // Post-recovery sweep: every touched key must read back exactly the model's value.
-  auto sweep = [&](size_t i, const char* when) -> std::optional<std::string> {
-    for (ShardId id : model.TouchedKeys()) {
-      std::optional<Bytes> expected = model.Get(id);
-      auto got = store->Get(id);
-      if (got.ok()) {
-        if (!expected.has_value()) {
-          return fail(i, std::string(when) + ": shard " + std::to_string(id) +
-                             " readable but expected absent (resurrection)");
-        }
-        if (got.value() != *expected) {
-          return fail(i, std::string(when) + ": shard " + std::to_string(id) +
-                             " has wrong contents");
-        }
-      } else if (got.code() == StatusCode::kNotFound) {
-        if (expected.has_value()) {
-          return fail(i, std::string(when) + ": shard " + std::to_string(id) +
-                             " lost (expected " + std::to_string(expected->size()) + "B)");
-        }
-      } else {
-        return fail(i, std::string(when) + ": unexpected error reading shard " +
-                           std::to_string(id) + ": " + got.status().ToString());
-      }
-    }
-    return std::nullopt;
-  };
-
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const KvOp& op = ops[i];
-    switch (op.kind) {
-      case KvOpKind::kGet: {
-        Span span(&spans, &store->extents(), "harness.get");
-        auto got = store->Get(op.id, span.scope());
-        if (!got.ok()) {
-          span.set_status(got.code());
-        }
-        std::optional<Bytes> expected = model.Get(op.id);
-        if (got.ok()) {
-          if (!expected.has_value()) {
-            return fail(i, "returned data for a shard the model says is absent");
-          }
-          if (got.value() != *expected) {
-            return fail(i, "returned wrong data");
-          }
-        } else if (got.code() == StatusCode::kNotFound) {
-          if (expected.has_value()) {
-            return fail(i, "NotFound for a shard the model says exists");
-          }
-        } else if (got.code() == StatusCode::kIoError && faults_armed) {
-          // Allowed to fail under injected faults, never allowed to return wrong data
-          // (section 4.4's relaxed check).
-        } else {
-          return fail(i, "unexpected error: " + got.status().ToString());
-        }
-        break;
-      }
-      case KvOpKind::kPut: {
-        Span span(&spans, &store->extents(), "harness.put");
-        auto dep_or = store->Put(op.id, op.value, span.scope());
-        if (!dep_or.ok()) {
-          span.set_status(dep_or.code());
-        }
-        if (dep_or.ok()) {
-          model.Put(op.id, op.value, dep_or.value());
-          dep_log.push_back({i, dep_or.value()});
-        } else if (dep_or.code() == StatusCode::kResourceExhausted ||
-                   (dep_or.code() == StatusCode::kIoError && faults_armed)) {
-          // Failed puts must be atomic no-ops; the model stays unchanged.
-        } else {
-          return fail(i, "unexpected error: " + dep_or.status().ToString());
-        }
-        break;
-      }
-      case KvOpKind::kDelete: {
-        Span span(&spans, &store->extents(), "harness.delete");
-        auto dep_or = store->Delete(op.id, span.scope());
-        if (!dep_or.ok()) {
-          span.set_status(dep_or.code());
-        }
-        if (dep_or.ok()) {
-          model.Delete(op.id, dep_or.value());
-          dep_log.push_back({i, dep_or.value()});
-        } else if (dep_or.code() == StatusCode::kIoError && faults_armed) {
-        } else {
-          return fail(i, "unexpected error: " + dep_or.status().ToString());
-        }
-        break;
-      }
-      case KvOpKind::kPutBatch: {
-        std::vector<StoreBatchItem> items;
-        items.reserve(op.batch.size());
-        for (const auto& [id, value] : op.batch) {
-          items.push_back({id, value});
-        }
-        Span span(&spans, &store->extents(), "harness.put_batch");
-        StoreBatchResult result = store->ApplyBatch(items, span.scope());
-        if (result.items.size() != op.batch.size()) {
-          return fail(i, "batch returned wrong item count");
-        }
-        for (size_t k = 0; k < result.items.size(); ++k) {
-          const StoreBatchItemResult& item = result.items[k];
-          if (item.status.ok()) {
-            model.Put(op.batch[k].first, op.batch[k].second, item.dep);
-            dep_log.push_back({i, item.dep});
-          } else if (item.status.code() == StatusCode::kResourceExhausted ||
-                     (item.status.code() == StatusCode::kIoError && faults_armed)) {
-            // A failed item must be an atomic no-op; the model stays unchanged.
-          } else {
-            return fail(i, "batch item " + std::to_string(k) +
-                               " unexpected error: " + item.status.ToString());
-          }
-        }
-        break;
-      }
-      case KvOpKind::kScan: {
-        Span span(&spans, &store->extents(), "harness.scan");
-        auto got = store->Scan(op.id, op.end, span.scope());
-        if (!got.ok()) {
-          span.set_status(got.code());
-          if ((got.code() == StatusCode::kIoError || got.code() == StatusCode::kUnavailable) &&
-              faults_armed) {
-            break;
-          }
-          return fail(i, "unexpected error: " + got.status().ToString());
-        }
-        // Exact comparison against the ordered-map oracle: same keys, same order, same
-        // values. After a DirtyReboot the model holds the adopted persisted state, so
-        // this doubles as "a scan sees exactly the persisted prefix".
-        std::vector<std::pair<ShardId, Bytes>> expected = model.Scan(op.id, op.end);
-        const std::vector<ScanItem>& impl = got.value();
-        bool match = impl.size() == expected.size();
-        for (size_t k = 0; match && k < impl.size(); ++k) {
-          match = impl[k].id == expected[k].first && impl[k].value == expected[k].second;
-        }
-        if (!match) {
-          return fail(i, "scan disagrees with the ordered-map oracle (" +
-                             std::to_string(impl.size()) + " items vs " +
-                             std::to_string(expected.size()) + " expected)");
-        }
-        break;
-      }
-      case KvOpKind::kList: {
-        auto listed = store->List();
-        if (!listed.ok()) {
-          if ((listed.code() == StatusCode::kIoError ||
-               listed.code() == StatusCode::kUnavailable) &&
-              faults_armed) {
-            break;
-          }
-          return fail(i, "unexpected error: " + listed.status().ToString());
-        }
-        std::vector<ShardId> impl = listed.value();
-        std::vector<ShardId> expected = model.List();
-        std::sort(impl.begin(), impl.end());
-        std::sort(expected.begin(), expected.end());
-        if (impl != expected) {
-          return fail(i, "listing disagrees with the model");
-        }
-        break;
-      }
-      case KvOpKind::kPumpIo:
-        store->PumpIo(op.arg);
-        break;
-      case KvOpKind::kFlushIndex:
-      case KvOpKind::kCompactIndex:
-      case KvOpKind::kCompactLevel:
-      case KvOpKind::kReclaim: {
-        Status status;
-        if (op.kind == KvOpKind::kFlushIndex) {
-          status = store->FlushIndex();
-        } else if (op.kind == KvOpKind::kCompactIndex) {
-          status = store->CompactIndex();
-        } else if (op.kind == KvOpKind::kCompactLevel) {
-          status = store->CompactIndexLevel(static_cast<int>(op.arg % 4));
-        } else {
-          // Candidates include the active extent: reclamation may legally target it
-          // (pinning is the protection for in-flight chunks), and several crash
-          // scenarios — e.g. the UUID-collision issue #10 — need exactly that.
-          std::vector<ExtentId> candidates;
-          for (ExtentId e : store->extents().ExtentsOwnedBy(ExtentOwner::kChunkData)) {
-            if (store->extents().WritePointer(e) > 0) {
-              candidates.push_back(e);
-            }
-          }
-          if (candidates.empty()) {
-            break;
-          }
-          status = store->ReclaimExtent(candidates[op.arg % candidates.size()]);
-        }
-        if (!status.ok() && status.code() != StatusCode::kUnavailable &&
-            status.code() != StatusCode::kResourceExhausted &&
-            !(status.code() == StatusCode::kIoError && faults_armed)) {
-          return fail(i, "maintenance failed: " + status.ToString());
-        }
-        break;
-      }
-      case KvOpKind::kReboot: {
-        Status status = store->FlushAll();
-        if (!status.ok()) {
-          if (status.code() == StatusCode::kResourceExhausted ||
-              (status.code() == StatusCode::kIoError && faults_armed)) {
-            break;  // legitimate inability to persist; skip the reboot
-          }
-          return fail(i, "clean shutdown failed (forward progress): " + status.ToString());
-        }
-        // Forward-progress property: after a clean shutdown, every dependency persists.
-        for (const auto& [op_index, dep] : dep_log) {
-          if (!dep.IsPersistent() && !dep.Failed()) {
-            return fail(i, "forward progress violated: dependency of op#" +
-                               std::to_string(op_index) + " not persistent after clean shutdown");
-          }
-        }
-        store.reset();
-        disk.fault_injector().Clear();
-        faults_armed = false;
-        auto reopened = ShardStore::Open(&disk, store_options);
-        if (!reopened.ok()) {
-          return fail(i, "recovery failed: " + reopened.status().ToString());
-        }
-        store = std::move(reopened).value();
-        if (auto err = sweep(i, "after clean reboot"); err.has_value()) {
-          return err;
-        }
-        break;
-      }
-      case KvOpKind::kDirtyReboot: {
-        Rng crash_rng(op.arg);
-        // Coarse RebootType choice: sometimes flush the in-memory index section first,
-        // so crash states interleave component flushes (section 5).
-        if (crash_rng.Chance(0.35)) {
-          (void)store->FlushIndex();
-        }
-        store->scheduler().Crash(crash_rng, /*persist_bias=*/0.6);
-        store.reset();
-        // Power cut: a buffered backend loses writebacks the crash issued but whose
-        // covering barrier never fired (no-op for the in-memory image).
-        disk.DropUnsynced();
-        disk.fault_injector().Clear();
-        faults_armed = false;
-        auto reopened = ShardStore::Open(&disk, store_options);
-        if (!reopened.ok()) {
-          return fail(i, "crash recovery failed: " + reopened.status().ToString());
-        }
-        store = std::move(reopened).value();
-        // Dependencies dropped by the crash legitimately never persist; forward
-        // progress only constrains operations issued since the last crash.
-        dep_log.clear();
-        // Persistence + consistency sweep (section 5): every touched key must surface
-        // a crash-allowed value — at least the latest mutation whose dependency
-        // persisted (persistence), never anything older (consistency). The model then
-        // adopts the observed durable state as its new baseline.
-        for (ShardId id : model.TouchedKeys()) {
-          std::optional<Bytes> observed;
-          auto got = store->Get(id);
-          if (got.ok()) {
-            observed = std::move(got).value();
-          } else if (got.code() != StatusCode::kNotFound) {
-            return fail(i, "after crash: unexpected error reading shard " +
-                               std::to_string(id) + ": " + got.status().ToString());
-          }
-          if (!model.AdoptPostCrash(id, observed)) {
-            return fail(i, "after crash: shard " + std::to_string(id) +
-                               (observed.has_value()
-                                    ? " surfaced a value outside the crash-allowed set"
-                                    : " lost: a persisted mutation is unreadable"));
-          }
-        }
-        break;
-      }
-      case KvOpKind::kFailReadOnce:
-        // Burst sized to outlast the retry budget: one logical IO's worth of attempts
-        // all fail, so the error surfaces (a smaller burst would be absorbed).
-        disk.fault_injector().FailReadTimes(op.arg % options_.geometry.extent_count,
-                                            options_.store.retry.max_attempts);
-        faults_armed = true;
-        break;
-      case KvOpKind::kFailWriteOnce:
-        disk.fault_injector().FailWriteTimes(op.arg % options_.geometry.extent_count,
-                                             options_.store.retry.max_attempts);
-        faults_armed = true;
-        break;
-    }
-
-    // Invariant check after every op (Figure 3 line 24): the mapping agrees.
-    if (!faults_armed) {
-      auto listed = store->List();
-      if (!listed.ok()) {
-        return fail(i, "post-op listing failed: " + listed.status().ToString());
-      }
-      std::vector<ShardId> impl = listed.value();
-      std::vector<ShardId> expected = model.List();
-      std::sort(impl.begin(), impl.end());
-      std::sort(expected.begin(), expected.end());
-      if (impl != expected) {
-        return fail(i, "post-op key set disagrees with the model");
-      }
-    }
-  }
-
-  // End of sequence: clean shutdown, forward progress, final sweep.
-  Status status = store->FlushAll();
-  if (!status.ok()) {
-    if (status.code() != StatusCode::kResourceExhausted &&
-        !(status.code() == StatusCode::kIoError && faults_armed)) {
-      return fail(ops.size(), "final shutdown failed: " + status.ToString());
-    }
-    return std::nullopt;
-  }
-  for (const auto& [op_index, dep] : dep_log) {
-    if (!dep.IsPersistent() && !dep.Failed()) {
-      return fail(ops.size(), "forward progress violated at end: dependency of op#" +
-                                  std::to_string(op_index) + " not persistent");
-    }
-  }
-  if (auto err = sweep(ops.size(), "final"); err.has_value()) {
-    return err;
   }
   return std::nullopt;
 }
 
-PbtRunner<KvOp> KvConformanceHarness::MakeRunner(PbtConfig config) const {
-  KvHarnessOptions options = options_;
-  return PbtRunner<KvOp>(
-      config,
-      [options](Rng& rng, const std::vector<KvOp>& prefix) {
-        return GenKvOp(rng, prefix, options);
-      },
-      [options](const std::vector<KvOp>& ops) {
-        KvConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const KvOp& op) { return ShrinkKvOp(op); });
+std::optional<std::string> KvRun::CheckForwardProgress(size_t i) {
+  for (const auto& [op_index, dep] : dep_log_) {
+    if (!dep.IsPersistent() && !dep.Failed()) {
+      return fail_(i, "forward progress violated: dependency of op#" +
+                          std::to_string(op_index) + " not persistent after clean shutdown");
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> KvRun::RecoverFromCrash(size_t i) {
+  store_.reset();
+  // Power cut: a buffered backend loses writebacks the crash issued but whose covering
+  // barrier never fired (no-op for the in-memory image).
+  disk_->DropUnsynced();
+  disk_->fault_injector().Clear();
+  faults_armed_ = false;
+  auto reopened = ShardStore::Open(disk_.get(), options_.store);
+  if (!reopened.ok()) {
+    return fail_(i, "crash recovery failed: " + reopened.status().ToString());
+  }
+  store_ = std::move(reopened).value();
+  // Dependencies dropped by the crash legitimately never persist; forward progress
+  // only constrains operations issued since the last crash.
+  dep_log_.clear();
+  // Persistence + consistency sweep (section 5): every touched key must surface a
+  // crash-allowed value — at least the latest mutation whose dependency persisted
+  // (persistence), never anything older (consistency). The model then adopts the
+  // observed durable state as its new baseline.
+  for (ShardId id : model_.TouchedKeys()) {
+    std::optional<Bytes> observed;
+    auto got = store_->Get(id);
+    if (got.ok()) {
+      observed = std::move(got).value();
+    } else if (got.code() != StatusCode::kNotFound) {
+      return fail_(i, "after crash: unexpected error reading shard " + std::to_string(id) +
+                          ": " + got.status().ToString());
+    }
+    if (!model_.AdoptPostCrash(id, observed)) {
+      return fail_(i, "after crash: shard " + std::to_string(id) +
+                          (observed.has_value()
+                               ? " surfaced a value outside the crash-allowed set"
+                               : " lost: a persisted mutation is unreadable"));
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> KvRun::Step(size_t i) {
+  const KvOp& op = ops_[i];
+  switch (op.kind) {
+    case KvOpKind::kGet: {
+      Span span(&spans_, &store_->extents(), "harness.get");
+      auto got = store_->Get(op.id, span.scope());
+      if (!got.ok()) {
+        span.set_status(got.code());
+      }
+      auto err = CheckRead(op.id, model_.Get(op.id), got,
+                           [this](const Status& status) -> std::optional<std::string> {
+                             if (status.code() == StatusCode::kIoError && faults_armed_) {
+                               // Allowed to fail under injected faults, never allowed
+                               // to return wrong data (section 4.4's relaxed check).
+                               return std::nullopt;
+                             }
+                             return "unexpected error: " + status.ToString();
+                           });
+      if (err.has_value()) {
+        return fail_(i, *err);
+      }
+      break;
+    }
+    case KvOpKind::kPut: {
+      Span span(&spans_, &store_->extents(), "harness.put");
+      auto dep_or = store_->Put(op.id, op.value, span.scope());
+      if (!dep_or.ok()) {
+        span.set_status(dep_or.code());
+      }
+      if (dep_or.ok()) {
+        model_.Put(op.id, op.value, dep_or.value());
+        dep_log_.push_back({i, dep_or.value()});
+      } else if (dep_or.code() == StatusCode::kResourceExhausted ||
+                 (dep_or.code() == StatusCode::kIoError && faults_armed_)) {
+        // Failed puts must be atomic no-ops; the model stays unchanged.
+      } else {
+        return fail_(i, "unexpected error: " + dep_or.status().ToString());
+      }
+      break;
+    }
+    case KvOpKind::kDelete: {
+      Span span(&spans_, &store_->extents(), "harness.delete");
+      auto dep_or = store_->Delete(op.id, span.scope());
+      if (!dep_or.ok()) {
+        span.set_status(dep_or.code());
+      }
+      if (dep_or.ok()) {
+        model_.Delete(op.id, dep_or.value());
+        dep_log_.push_back({i, dep_or.value()});
+      } else if (dep_or.code() == StatusCode::kIoError && faults_armed_) {
+      } else {
+        return fail_(i, "unexpected error: " + dep_or.status().ToString());
+      }
+      break;
+    }
+    case KvOpKind::kPutBatch: {
+      std::vector<StoreBatchItem> items;
+      items.reserve(op.batch.size());
+      for (const auto& [id, value] : op.batch) {
+        items.push_back({id, value});
+      }
+      Span span(&spans_, &store_->extents(), "harness.put_batch");
+      StoreBatchResult result = store_->ApplyBatch(items, span.scope());
+      if (result.items.size() != op.batch.size()) {
+        return fail_(i, "batch returned wrong item count");
+      }
+      for (size_t k = 0; k < result.items.size(); ++k) {
+        const StoreBatchItemResult& item = result.items[k];
+        if (item.status.ok()) {
+          model_.Put(op.batch[k].first, op.batch[k].second, item.dep);
+          dep_log_.push_back({i, item.dep});
+        } else if (item.status.code() == StatusCode::kResourceExhausted ||
+                   (item.status.code() == StatusCode::kIoError && faults_armed_)) {
+          // A failed item must be an atomic no-op; the model stays unchanged.
+        } else {
+          return fail_(i, "batch item " + std::to_string(k) +
+                              " unexpected error: " + item.status.ToString());
+        }
+      }
+      break;
+    }
+    case KvOpKind::kScan: {
+      Span span(&spans_, &store_->extents(), "harness.scan");
+      auto got = store_->Scan(op.id, op.end, span.scope());
+      if (!got.ok()) {
+        span.set_status(got.code());
+        if ((got.code() == StatusCode::kIoError || got.code() == StatusCode::kUnavailable) &&
+            faults_armed_) {
+          break;
+        }
+        return fail_(i, "unexpected error: " + got.status().ToString());
+      }
+      // Exact comparison against the ordered-map oracle: same keys, same order, same
+      // values. After a DirtyReboot the model holds the adopted persisted state, so
+      // this doubles as "a scan sees exactly the persisted prefix".
+      std::vector<std::pair<ShardId, Bytes>> expected = model_.Scan(op.id, op.end);
+      const std::vector<ScanItem>& impl = got.value();
+      bool match = impl.size() == expected.size();
+      for (size_t k = 0; match && k < impl.size(); ++k) {
+        match = impl[k].id == expected[k].first && impl[k].value == expected[k].second;
+      }
+      if (!match) {
+        return fail_(i, "scan disagrees with the ordered-map oracle (" +
+                            std::to_string(impl.size()) + " items vs " +
+                            std::to_string(expected.size()) + " expected)");
+      }
+      break;
+    }
+    case KvOpKind::kList: {
+      auto listed = store_->List();
+      if (!listed.ok()) {
+        if ((listed.code() == StatusCode::kIoError ||
+             listed.code() == StatusCode::kUnavailable) &&
+            faults_armed_) {
+          break;
+        }
+        return fail_(i, "unexpected error: " + listed.status().ToString());
+      }
+      std::vector<ShardId> impl = listed.value();
+      std::vector<ShardId> expected = model_.List();
+      std::sort(impl.begin(), impl.end());
+      std::sort(expected.begin(), expected.end());
+      if (impl != expected) {
+        return fail_(i, "listing disagrees with the model");
+      }
+      break;
+    }
+    case KvOpKind::kPumpIo:
+      store_->PumpIo(op.arg);
+      break;
+    case KvOpKind::kFlushIndex:
+    case KvOpKind::kCompactIndex:
+    case KvOpKind::kCompactLevel:
+    case KvOpKind::kReclaim: {
+      Status status;
+      if (op.kind == KvOpKind::kFlushIndex) {
+        status = store_->FlushIndex();
+      } else if (op.kind == KvOpKind::kCompactIndex) {
+        status = store_->CompactIndex();
+      } else if (op.kind == KvOpKind::kCompactLevel) {
+        status = store_->CompactIndexLevel(static_cast<int>(op.arg % 4));
+      } else {
+        // Candidates include the active extent: reclamation may legally target it
+        // (pinning is the protection for in-flight chunks), and several crash
+        // scenarios — e.g. the UUID-collision issue #10 — need exactly that.
+        std::vector<ExtentId> candidates;
+        for (ExtentId e : store_->extents().ExtentsOwnedBy(ExtentOwner::kChunkData)) {
+          if (store_->extents().WritePointer(e) > 0) {
+            candidates.push_back(e);
+          }
+        }
+        if (candidates.empty()) {
+          break;
+        }
+        status = store_->ReclaimExtent(candidates[op.arg % candidates.size()]);
+      }
+      if (!status.ok() && status.code() != StatusCode::kUnavailable &&
+          status.code() != StatusCode::kResourceExhausted &&
+          !(status.code() == StatusCode::kIoError && faults_armed_)) {
+        return fail_(i, "maintenance failed: " + status.ToString());
+      }
+      break;
+    }
+    case KvOpKind::kReboot: {
+      Status status = store_->FlushAll();
+      if (!status.ok()) {
+        if (status.code() == StatusCode::kResourceExhausted ||
+            (status.code() == StatusCode::kIoError && faults_armed_)) {
+          break;  // legitimate inability to persist; skip the reboot
+        }
+        return fail_(i, "clean shutdown failed (forward progress): " + status.ToString());
+      }
+      // Forward-progress property: after a clean shutdown, every dependency persists.
+      if (auto err = CheckForwardProgress(i); err.has_value()) {
+        return err;
+      }
+      store_.reset();
+      disk_->fault_injector().Clear();
+      faults_armed_ = false;
+      auto reopened = ShardStore::Open(disk_.get(), options_.store);
+      if (!reopened.ok()) {
+        return fail_(i, "recovery failed: " + reopened.status().ToString());
+      }
+      store_ = std::move(reopened).value();
+      if (auto err = Sweep(i, "after clean reboot"); err.has_value()) {
+        return err;
+      }
+      break;
+    }
+    case KvOpKind::kDirtyReboot: {
+      Rng crash_rng(op.arg);
+      // Coarse RebootType choice: sometimes flush the in-memory index section first,
+      // so crash states interleave component flushes (section 5).
+      if (crash_rng.Chance(0.35)) {
+        (void)store_->FlushIndex();
+      }
+      store_->scheduler().Crash(crash_rng, /*persist_bias=*/0.6);
+      if (auto err = RecoverFromCrash(i); err.has_value()) {
+        return err;
+      }
+      break;
+    }
+    case KvOpKind::kFailReadOnce:
+      // Burst sized to outlast the retry budget: one logical IO's worth of attempts
+      // all fail, so the error surfaces (a smaller burst would be absorbed).
+      disk_->fault_injector().FailReadTimes(op.arg % options_.geometry.extent_count,
+                                            options_.store.retry.max_attempts);
+      faults_armed_ = true;
+      break;
+    case KvOpKind::kFailWriteOnce:
+      disk_->fault_injector().FailWriteTimes(op.arg % options_.geometry.extent_count,
+                                             options_.store.retry.max_attempts);
+      faults_armed_ = true;
+      break;
+  }
+
+  // Invariant check after every op (Figure 3 line 24): the mapping agrees.
+  if (!faults_armed_) {
+    auto listed = store_->List();
+    if (!listed.ok()) {
+      return fail_(i, "post-op listing failed: " + listed.status().ToString());
+    }
+    std::vector<ShardId> impl = listed.value();
+    std::vector<ShardId> expected = model_.List();
+    std::sort(impl.begin(), impl.end());
+    std::sort(expected.begin(), expected.end());
+    if (impl != expected) {
+      return fail_(i, "post-op key set disagrees with the model");
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> KvRun::Finish() {
+  Status status = store_->FlushAll();
+  if (!status.ok()) {
+    if (status.code() != StatusCode::kResourceExhausted &&
+        !(status.code() == StatusCode::kIoError && faults_armed_)) {
+      return fail_(ops_.size(), "final shutdown failed: " + status.ToString());
+    }
+    return std::nullopt;
+  }
+  if (auto err = CheckForwardProgress(ops_.size()); err.has_value()) {
+    return err;
+  }
+  return Sweep(ops_.size(), "final");
 }
 
 }  // namespace ss

@@ -24,13 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "src/harness/checks.h"
 #include "src/kv/shard_store.h"
 #include "src/model/models.h"
+#include "src/obs/span.h"
 #include "src/pbt/pbt.h"
 
 namespace ss {
-
-class FlightRecorder;
 
 enum class KvOpKind : uint8_t {
   kGet = 0,
@@ -88,26 +88,66 @@ struct KvHarnessOptions {
   std::function<std::unique_ptr<disk::Disk>(const DiskGeometry&)> disk_factory;
 };
 
-// Generates one operation, biased by the prefix (key reuse, page-corner sizes).
-KvOp GenKvOp(Rng& rng, const std::vector<KvOp>& prefix, const KvHarnessOptions& options);
-
-// Simpler candidate replacements for one op (toward-zero ids/args, shorter values,
-// earlier alphabet variants).
-std::vector<KvOp> ShrinkKvOp(const KvOp& op);
-
-// Executes one op sequence from a fresh disk. Returns a failure description, or
-// nullopt if the sequence satisfies every property.
-class KvConformanceHarness {
+class KvConformanceHarness
+    : public PbtHarness<KvConformanceHarness, KvOp, KvHarnessOptions> {
  public:
-  explicit KvConformanceHarness(KvHarnessOptions options) : options_(options) {}
+  using PbtHarness::PbtHarness;
 
+  // Generates one operation, biased by the prefix (key reuse, page-corner sizes).
+  static KvOp Gen(Rng& rng, const std::vector<KvOp>& prefix, const KvHarnessOptions& options);
+
+  // Simpler candidate replacements for one op (toward-zero ids/args, shorter values,
+  // earlier alphabet variants).
+  static std::vector<KvOp> Shrink(const KvOp& op);
+
+  // Executes one op sequence from a fresh disk. Returns a failure description, or
+  // nullopt if the sequence satisfies every property.
   std::optional<std::string> Run(const std::vector<KvOp>& ops);
+};
 
-  // Builds a ready-to-run PbtRunner over this harness.
-  PbtRunner<KvOp> MakeRunner(PbtConfig config) const;
+// One kv run in progress: a store on a fresh disk, its model, and the bookkeeping the
+// properties need. KvConformanceHarness::Run drives a whole sequence through it; the
+// crash enumerator (crash_enum.h) applies a sequence, crashes the store's scheduler
+// itself, and checks the recovery. `options` and `ops` must outlive the run.
+class KvRun {
+ public:
+  KvRun(const KvHarnessOptions& options, const std::vector<KvOp>& ops);
+  // The artifact capture holds `this`.
+  KvRun(const KvRun&) = delete;
+  KvRun& operator=(const KvRun&) = delete;
+
+  // Creates the disk and opens the store. Returns a description of what failed.
+  std::optional<std::string> Open();
+  // Applies ops[i] to the store and the model, then checks the mapping invariant.
+  std::optional<std::string> Step(size_t i);
+  // After a crash of the store's scheduler: recovers the store, then runs section 5's
+  // persistence + consistency sweep, and the model adopts the observed durable state.
+  // `i` is the op the crash belongs to (ops.size() for one after the last op).
+  std::optional<std::string> RecoverFromCrash(size_t i);
+  // End of sequence: clean shutdown, forward progress, final sweep.
+  std::optional<std::string> Finish();
+
+  ShardStore& store() { return *store_; }
 
  private:
-  KvHarnessOptions options_;
+  // Every touched key must read back exactly the model's value.
+  std::optional<std::string> Sweep(size_t i, const char* when);
+  // Forward progress: every dependency logged since the last crash persists.
+  std::optional<std::string> CheckForwardProgress(size_t i);
+
+  const KvHarnessOptions& options_;
+  const std::vector<KvOp>& ops_;
+  Violations<KvOp> fail_;
+  std::unique_ptr<Disk> disk_;
+  std::unique_ptr<ShardStore> store_;
+  KvStoreModel model_;
+  // Every dependency returned by a mutating op, for the forward-progress property.
+  std::vector<std::pair<size_t, Dependency>> dep_log_;
+  bool faults_armed_ = false;
+  // Run-local span tree: each data-plane op opens a root span threaded into the store,
+  // so a violation's artifact carries the causal tree of the failing run. No metric
+  // registry — the store's registry dies on reboot, and the tree outlives it.
+  SpanTree spans_;
 };
 
 }  // namespace ss

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/harness/checks.h"
+
 namespace ss {
 
 std::string RpcOp::ToString() const {
@@ -31,7 +33,8 @@ std::string RpcOp::ToString() const {
   return out.str();
 }
 
-RpcOp GenRpcOp(Rng& rng, const std::vector<RpcOp>& prefix, const RpcHarnessOptions& options) {
+RpcOp RpcConformanceHarness::Gen(Rng& rng, const std::vector<RpcOp>& prefix,
+                                 const RpcHarnessOptions& options) {
   std::vector<uint32_t> weights = {/*Get*/ 25, /*Put*/ 30, /*Delete*/ 8, /*List*/ 6,
                                    /*Remove*/ 8, /*Restore*/ 10, /*FlushAll*/ 5,
                                    /*Migrate*/ 8};
@@ -73,7 +76,7 @@ RpcOp GenRpcOp(Rng& rng, const std::vector<RpcOp>& prefix, const RpcHarnessOptio
   return op;
 }
 
-std::vector<RpcOp> ShrinkRpcOp(const RpcOp& op) {
+std::vector<RpcOp> RpcConformanceHarness::Shrink(const RpcOp& op) {
   std::vector<RpcOp> out;
   if (op.id > 0) {
     RpcOp smaller = op;
@@ -95,17 +98,13 @@ std::vector<RpcOp> ShrinkRpcOp(const RpcOp& op) {
 }
 
 std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& ops) {
+  Violations<RpcOp> fail("rpc_conformance", ops);
   auto node_or = NodeServer::Create(options_.node);
   if (!node_or.ok()) {
     return "node create failed: " + node_or.status().ToString();
   }
   std::unique_ptr<NodeServer> node = std::move(node_or).value();
   KvStoreModel model;
-
-  auto fail = [&](size_t i, const std::string& what) {
-    return std::optional<std::string>("op#" + std::to_string(i) + " " + ops[i].ToString() +
-                                      ": " + what);
-  };
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const RpcOp& op = ops[i];
@@ -123,17 +122,8 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
           }
           break;
         }
-        std::optional<Bytes> expected = model.Get(op.id);
-        if (got.ok()) {
-          if (!expected.has_value() || got.value().value != *expected) {
-            return fail(i, "wrong or phantom data");
-          }
-        } else if (got.code() == StatusCode::kNotFound) {
-          if (expected.has_value()) {
-            return fail(i, "shard lost");
-          }
-        } else {
-          return fail(i, "unexpected error: " + got.status().ToString());
+        if (auto err = CheckRead(op.id, model.Get(op.id), got); err.has_value()) {
+          return fail(i, *err);
         }
         break;
       }
@@ -236,44 +226,17 @@ std::optional<std::string> RpcConformanceHarness::Run(const std::vector<RpcOp>& 
   for (int d = 0; d < node->disk_count(); ++d) {
     if (!node->InService(d)) {
       if (Status status = node->RestoreDisk(d); !status.ok()) {
-        return std::optional<std::string>("final restore of disk " + std::to_string(d) +
-                                          " failed: " + status.ToString());
+        return fail(ops.size(), "final restore of disk " + std::to_string(d) +
+                                    " failed: " + status.ToString());
       }
     }
   }
   for (ShardId id : model.TouchedKeys()) {
-    std::optional<Bytes> expected = model.Get(id);
-    auto got = node->Get(id);
-    if (got.ok()) {
-      if (!expected.has_value() || got.value().value != *expected) {
-        return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
-                                          " wrong or phantom");
-      }
-    } else if (got.code() == StatusCode::kNotFound) {
-      if (expected.has_value()) {
-        return std::optional<std::string>("final sweep: shard " + std::to_string(id) +
-                                          " lost after remove/restore cycle");
-      }
-    } else {
-      return std::optional<std::string>("final sweep: error on shard " + std::to_string(id) +
-                                        ": " + got.status().ToString());
+    if (auto err = CheckRead(id, model.Get(id), node->Get(id)); err.has_value()) {
+      return fail(ops.size(), "final sweep: " + *err);
     }
   }
   return std::nullopt;
-}
-
-PbtRunner<RpcOp> RpcConformanceHarness::MakeRunner(PbtConfig config) const {
-  RpcHarnessOptions options = options_;
-  return PbtRunner<RpcOp>(
-      config,
-      [options](Rng& rng, const std::vector<RpcOp>& prefix) {
-        return GenRpcOp(rng, prefix, options);
-      },
-      [options](const std::vector<RpcOp>& ops) {
-        RpcConformanceHarness harness(options);
-        return harness.Run(ops);
-      },
-      [](const RpcOp& op) { return ShrinkRpcOp(op); });
 }
 
 }  // namespace ss

@@ -42,17 +42,14 @@ struct RpcHarnessOptions {
   size_t max_value_bytes = 600;
 };
 
-RpcOp GenRpcOp(Rng& rng, const std::vector<RpcOp>& prefix, const RpcHarnessOptions& options);
-std::vector<RpcOp> ShrinkRpcOp(const RpcOp& op);
-
-class RpcConformanceHarness {
+class RpcConformanceHarness
+    : public PbtHarness<RpcConformanceHarness, RpcOp, RpcHarnessOptions> {
  public:
-  explicit RpcConformanceHarness(RpcHarnessOptions options) : options_(options) {}
+  using PbtHarness::PbtHarness;
+  static RpcOp Gen(Rng& rng, const std::vector<RpcOp>& prefix,
+                   const RpcHarnessOptions& options);
+  static std::vector<RpcOp> Shrink(const RpcOp& op);
   std::optional<std::string> Run(const std::vector<RpcOp>& ops);
-  PbtRunner<RpcOp> MakeRunner(PbtConfig config) const;
-
- private:
-  RpcHarnessOptions options_;
 };
 
 }  // namespace ss

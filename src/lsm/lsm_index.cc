@@ -808,7 +808,7 @@ Status LsmIndex::CompactInternal(std::optional<int> level, const SpanScope& scop
       YieldThread();
       continue;
     }
-    if (bottom || options_.seeded_bug_drop_tombstones_above_bottom) {
+    if (bottom || BugEnabled(SeededBug::kDropTombstonesAboveBottom)) {
       if (!bottom) {
         SS_COVER("lsm.seeded_tombstone_drop_above_bottom");
       }

@@ -27,10 +27,9 @@
 // checker enforces.
 //
 // Seeded bugs hosted here: #3 (shutdown skips the flush when only internal mutations —
-// e.g. reclamation relocations — are pending) and #14 (flush/compaction write their run
-// chunk without pinning its extent). A third, option-gated seeded bug
-// (LsmOptions::seeded_bug_drop_tombstones_above_bottom) re-enables unconditional
-// tombstone dropping in partial merges; the PBT/MC harnesses exist to catch it.
+// e.g. reclamation relocations — are pending), #14 (flush/compaction write their run
+// chunk without pinning its extent) and #18 (partial merges drop tombstones above the
+// bottom level, resurrecting deleted shards).
 
 #ifndef SS_LSM_LSM_INDEX_H_
 #define SS_LSM_LSM_INDEX_H_
@@ -78,10 +77,6 @@ struct LsmOptions {
   // 0 = manual compaction only, which keeps the deterministic harnesses in charge.
   size_t level0_compaction_trigger = 0;
   size_t level_fanout = 4;
-  // Seeded bug (option-gated like the cluster tier's read-repair bug rather than a
-  // Figure-5 registry entry): partial merges drop tombstones even when deeper levels
-  // remain, resurrecting deleted shards. Exists to prove the harnesses catch the class.
-  bool seeded_bug_drop_tombstones_above_bottom = false;
 };
 
 // One mutation of a batched index commit (see LsmIndex::ApplyBatch).

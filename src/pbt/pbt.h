@@ -21,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -183,6 +184,37 @@ class PbtRunner {
   RunFn run_;
   ShrinkFn shrink_op_;
   PbtStats<Op> stats_;
+};
+
+// --- Harness engine -------------------------------------------------------------------
+
+// The one engine every PBT harness runs on. A harness derives from
+// PbtHarness<Self, Op, Options> and supplies only its alphabet and its property:
+//   static Op Gen(Rng& rng, const std::vector<Op>& prefix, const Options& options);
+//   static std::vector<Op> Shrink(const Op& op);
+//   std::optional<std::string> Run(const std::vector<Op>& ops);
+// MakeRunner wires the three into a PbtRunner. Every case, and every shrink attempt,
+// runs on a fresh harness over a copy of the options.
+template <typename Self, typename OpT, typename OptionsT>
+class PbtHarness {
+ public:
+  using Op = OpT;
+  using Options = OptionsT;
+
+  explicit PbtHarness(Options options) : options_(std::move(options)) {}
+
+  PbtRunner<Op> MakeRunner(PbtConfig config) const {
+    return PbtRunner<Op>(
+        config,
+        [options = options_](Rng& rng, const std::vector<Op>& prefix) {
+          return Self::Gen(rng, prefix, options);
+        },
+        [options = options_](const std::vector<Op>& ops) { return Self(options).Run(ops); },
+        [](const Op& op) { return Self::Shrink(op); });
+  }
+
+ protected:
+  Options options_;
 };
 
 // --- Biasing helpers (section 4.2) ----------------------------------------------------

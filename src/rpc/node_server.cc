@@ -170,11 +170,11 @@ Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remot
   }
   put_ok_->Increment();
   PutResult result{std::move(dep_or).value(), disk, span.id()};
-  if (options_.legacy_unconditional_route_commit) {
-    // Pre-fix routing commit, preserved behind a test-only knob: `disk` was resolved
-    // before the store call, so a MigrateShard that committed in between gets its
-    // directory entry overwritten with the stale source disk and later Gets route to
-    // the tombstoned copy. The yield is the preemption window the fix closes.
+  if (BugEnabled(SeededBug::kUnconditionalRouteCommit)) {
+    // Seeded bug #19, the pre-fix routing commit: `disk` was resolved before the store
+    // call, so a MigrateShard that committed in between gets its directory entry
+    // overwritten with the stale source disk and later Gets route to the tombstoned
+    // copy. The yield is the preemption window the fix closes.
     YieldThread();
     LockGuard lock(mu_);
     directory_[id] = disk;
@@ -311,7 +311,7 @@ Result<DeleteResult> NodeServer::Delete(ShardId id, TraceContext remote) {
   }
   delete_ok_->Increment();
   DeleteResult result{std::move(dep_or).value(), disk, span.id()};
-  if (options_.legacy_unconditional_route_commit) {
+  if (BugEnabled(SeededBug::kUnconditionalRouteCommit)) {
     YieldThread();
     LockGuard lock(mu_);
     directory_.erase(id);

@@ -15,7 +15,9 @@
 // Seeded bugs hosted here: #4 (removal skips the clean shutdown, so a removed-and-
 // returned disk loses recent shards), #13 (the shard listing releases its lock midway
 // and resumes by element count, missing entries that a concurrent removal shifted), and
-// #16 (bulk create/remove skip the control-plane lock that makes them atomic units).
+// #16 (bulk create/remove skip the control-plane lock that makes them atomic units),
+// plus #19 (Put/Delete commit their route unconditionally after the store call,
+// clobbering a concurrent migration's routing commit).
 
 #ifndef SS_RPC_NODE_SERVER_H_
 #define SS_RPC_NODE_SERVER_H_
@@ -43,12 +45,6 @@ struct NodeServerOptions {
   ShardStoreOptions store;
   // Retained span records (see SpanTree); lifetime totals are unaffected.
   size_t span_capacity = SpanTree::kDefaultCapacity;
-  // Regression knob: restores the pre-fix Put/Delete routing commit (capture the
-  // routed disk before the store call, then write the directory unconditionally
-  // afterwards), which lets a concurrent MigrateShard's routing commit be clobbered
-  // with the stale source disk. Only the routing-race regression tests set this; see
-  // tests/concurrency_test.cc.
-  bool legacy_unconditional_route_commit = false;
 };
 
 // Typed request-plane envelopes: every mutating RPC returns the operation's durability

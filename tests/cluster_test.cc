@@ -584,8 +584,8 @@ TEST_P(ClusterStormSeeds, QuorumConformanceHoldsUnderTheFaultStorm) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterStormSeeds, testing::Values(1u, 2u));
 
 TEST(ClusterSeededBug, CorruptReadRepairIsCaughtMinimizedAndRecorded) {
+  ScopedBug bug(SeededBug::kReadRepairWrongValue);
   ClusterHarnessOptions options;
-  options.cluster.seeded_bug_read_repair_wrong_value = true;
   ClusterConformanceHarness harness{options};
   auto runner = harness.MakeRunner({.seed = 17, .num_cases = 800, .max_ops = 45});
   auto failure = runner.Run();

@@ -96,12 +96,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrencyBaseline, testing::Values(1, 17, 4242
 // Regression for the routing-commit clobber: the pre-fix Put captured its route, then
 // unconditionally wrote directory[id] = disk after the store call, overwriting a
 // concurrent migration's commit and leaving the directory pointing at the tombstoned
-// source copy. The legacy knob resurrects that commit so the model checker can keep
+// source copy. Seeded bug #19 resurrects that commit so the model checker can keep
 // demonstrating the failure it used to cause.
 TEST(RoutingCommitClobber, LegacyUnconditionalCommitLosesTheShard) {
   FaultRegistry::Global().DisableAll();
-  McResult result = McExplore(MakePutMigrateBody(/*legacy_route_commit=*/true),
-                              Pct(3000, 42));
+  ScopedBug bug(SeededBug::kUnconditionalRouteCommit);
+  McResult result = McExplore(MakePutMigrateBody(), Pct(3000, 42));
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.deadlock);
   EXPECT_NE(result.error.find("shard"), std::string::npos) << result.error;
@@ -167,8 +167,8 @@ TEST_F(SeededConcurrencyBugs, Bug14FlushReclaimRaceCaught) {
 // non-bottom merge resurrects the deleted key once the younger run is gone. The
 // scan/compact harness catches it even single-threaded, so a modest budget suffices.
 TEST_F(SeededConcurrencyBugs, TombstoneDropAboveBottomCaught) {
-  McResult result = McExplore(MakeScanCompactBody(/*seeded_tombstone_bug=*/true),
-                              Pct(500, 42));
+  ScopedBug bug(SeededBug::kDropTombstonesAboveBottom);
+  McResult result = McExplore(MakeScanCompactBody(), Pct(500, 42));
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.deadlock);
   EXPECT_NE(result.error.find("resurrected"), std::string::npos) << result.error;

@@ -132,8 +132,8 @@ TEST(ConformanceCoverage, OversizedCacheCreatesBlindSpotMetricCatchesIt) {
 // and capture exactly one flight-recorder artifact from the minimized re-run.
 TEST(LsmSeededBug, TombstoneDropAboveBottomIsCaughtMinimizedAndRecorded) {
   FaultRegistry::Global().DisableAll();
+  ScopedBug bug(SeededBug::kDropTombstonesAboveBottom);
   KvHarnessOptions options;
-  options.store.lsm.seeded_bug_drop_tombstones_above_bottom = true;
   KvConformanceHarness harness(options);
   auto runner = harness.MakeRunner({.seed = 7, .num_cases = 2000, .max_ops = 60});
   auto failure = runner.Run();

@@ -58,6 +58,20 @@ TEST(Faults, ComponentsMatchFigure5) {
   EXPECT_EQ(SeededBugComponent(SeededBug::kSuperblockWrongOwnershipDep), "Superblock");
 }
 
+// The rows after the paper's keep the numbering going, so #1-#16 keep theirs.
+TEST(Faults, RowsAfterThePaperFollowFigure5) {
+  EXPECT_EQ(kSeededBugCount, kPaperSeededBugCount + 3);
+  EXPECT_EQ(SeededBugName(SeededBug::kBulkCreateRemoveRace), "#16 BulkCreateRemoveRace");
+  EXPECT_EQ(SeededBugName(SeededBug::kReadRepairWrongValue), "#17 ReadRepairWrongValue");
+  EXPECT_EQ(SeededBugName(SeededBug::kDropTombstonesAboveBottom),
+            "#18 DropTombstonesAboveBottom");
+  EXPECT_EQ(SeededBugName(SeededBug::kUnconditionalRouteCommit),
+            "#19 UnconditionalRouteCommit");
+  EXPECT_EQ(SeededBugComponent(SeededBug::kReadRepairWrongValue), "Cluster");
+  EXPECT_EQ(SeededBugComponent(SeededBug::kDropTombstonesAboveBottom), "Index");
+  EXPECT_EQ(SeededBugComponent(SeededBug::kUnconditionalRouteCommit), "API");
+}
+
 TEST(Faults, DisableAllClearsEverything) {
   for (int b = 0; b < kSeededBugCount; ++b) {
     FaultRegistry::Global().Enable(static_cast<SeededBug>(b));

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "src/faults/faults.h"
+#include "src/harness/failure_harness.h"
 #include "src/harness/kv_harness.h"
 #include "src/mc/mc.h"
 #include "src/obs/flight_recorder.h"
@@ -90,6 +91,31 @@ TEST_F(FlightTest, KvHarnessViolationWritesAReplayableArtifact) {
   for (const KvOp& op : failure->minimized) {
     EXPECT_NE(json.find(op.ToString()), std::string::npos) << op.ToString();
   }
+}
+
+// A check after the last op reports through the same path as a per-op check: with
+// the recorder armed, it leaves an artifact too. Disks too small to flush the puts'
+// index make the end-of-run flush the sequence's first violation.
+TEST_F(FlightTest, FailureHarnessEndOfRunViolationWritesAnArtifact) {
+  FailureHarnessOptions options;
+  options.node.geometry = {.extent_count = 4, .pages_per_extent = 4, .page_size = 256};
+  std::vector<FailureOp> ops;
+  for (ShardId id = 0; id < 12; ++id) {
+    FailureOp put;
+    put.kind = FailureOpKind::kPut;
+    put.id = id;
+    put.value = Bytes(200, static_cast<uint8_t>(id));
+    ops.push_back(put);
+  }
+  std::optional<std::string> error = FailureConformanceHarness(options).Run(ops);
+  ASSERT_TRUE(error.has_value()) << "expected an end-of-run violation";
+  EXPECT_NE(error->find("<end>"), std::string::npos) << *error;
+
+  FlightRecorder recorder("flight-end-of-run");
+  FailureHarnessOptions armed = options;
+  armed.recorder = &recorder;
+  EXPECT_EQ(FailureConformanceHarness(armed).Run(ops), error);
+  EXPECT_EQ(recorder.written(), 1u) << *error;
 }
 
 // Node-level capture: CaptureNode snapshots metrics, the rpc.* span trees (each root

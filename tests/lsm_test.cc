@@ -444,10 +444,9 @@ TEST_F(LsmTest, TombstonesDroppedAtBottomMerge) {
 // The seeded-bug demonstration: with the tombstone-lifetime rule broken, the same
 // sequence as the regression test above resurrects the deleted shard.
 TEST_F(LsmTest, SeededTombstoneDropBugResurrectsDeletedShard) {
+  ScopedBug bug(SeededBug::kDropTombstonesAboveBottom);
   index_.reset();
-  LsmOptions options;
-  options.seeded_bug_drop_tombstones_above_bottom = true;
-  index_ = std::move(LsmIndex::Open(extents_.get(), chunks_.get(), options).value());
+  index_ = std::move(LsmIndex::Open(extents_.get(), chunks_.get(), LsmOptions{}).value());
   index_->Put(1, MakeRecord(1), Dependency());
   index_->Put(2, MakeRecord(2), Dependency());
   ASSERT_TRUE(index_->Flush().ok());
