@@ -51,16 +51,17 @@ int main(int argc, char** argv) {
     std::vector<std::string> prefixes;  // repo-relative path prefixes
   };
   // The first matching rule wins, so specific prefixes come before the catch-alls:
-  // every file under src/harness/ and src/pbt/ is a validation artifact.
+  // every file under src/harness/, src/pbt/ and src/faults/ is a validation artifact.
   const std::vector<Rule> rules = {
       {"Reference models (sec 3.2)", {"src/model"}},
       {"Crash consistency checks (sec 5)",
        {"src/harness/crash_enum", "tests/crash_test", "tests/crash_enum_test"}},
       {"Concurrency checks (sec 6)",
        {"src/mc", "src/harness/concurrency", "tests/concurrency_test", "tests/mc_test"}},
+      // src/faults/ is the seeded-bug registry and fault injection (sec 4.4).
       {"Functional correctness checks (sec 4)",
-       {"src/pbt/", "src/harness/", "tests/conformance_test", "tests/fig5_test",
-        "tests/pbt_test"}},
+       {"src/pbt/", "src/harness/", "src/faults/", "tests/conformance_test",
+        "tests/fig5_test", "tests/pbt_test", "tests/faults_test"}},
       {"Unit & integration tests", {"tests/"}},
       {"Implementation", {"src/", "examples/", "bench/"}},
   };

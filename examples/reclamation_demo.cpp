@@ -36,18 +36,17 @@ void PrintLayout(ShardStore& store, const char* title) {
       continue;
     }
     for (const auto& chunk : scanned_or.value()) {
-      // Reverse lookup: shard chunk, index run chunk, or garbage.
-      if (store.index().MetadataReferences(chunk.locator)) {
-        printf(" LSM-run@p%u |", chunk.locator.first_page);
-        continue;
-      }
-      auto owner_shard = store.index().FindShardReferencing(chunk.locator);
-      if (owner_shard.ok() && owner_shard.value().has_value()) {
-        printf(" shard 0x%llx@p%u |",
-               static_cast<unsigned long long>(*owner_shard.value()),
-               chunk.locator.first_page);
-      } else {
+      // Reverse lookup: the index names who holds the chunk (its run list or a
+      // shard), or nobody (garbage).
+      auto holder_or = store.index().FindHolder(chunk.locator);
+      if (!holder_or.ok() || !holder_or.value().has_value()) {
         printf(" GARBAGE@p%u |", chunk.locator.first_page);
+      } else if (holder_or.value()->kind == LsmIndex::kRunListHolder) {
+        printf(" LSM-run@p%u |", chunk.locator.first_page);
+      } else {
+        printf(" shard 0x%llx@p%u |",
+               static_cast<unsigned long long>(holder_or.value()->id),
+               chunk.locator.first_page);
       }
     }
     printf("\n");

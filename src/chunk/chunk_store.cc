@@ -301,8 +301,8 @@ Status ChunkStore::Reclaim(ExtentId extent, ReclaimClient* client) {
   std::vector<Dependency> deps;
   bool dropped_any = false;
   for (ScannedChunk& chunk : chunks) {
-    SS_ASSIGN_OR_RETURN(bool referenced, client->IsReferenced(chunk.locator));
-    if (!referenced) {
+    SS_ASSIGN_OR_RETURN(std::optional<ChunkHolder> holder, client->FindHolder(chunk.locator));
+    if (!holder.has_value()) {
       dropped_any = true;
       LockGuard lock(mu_);
       chunks_dropped_->Increment();
@@ -310,7 +310,7 @@ Status ChunkStore::Reclaim(ExtentId extent, ReclaimClient* client) {
     }
     SS_COVER("chunk_store.evacuate");
     SS_ASSIGN_OR_RETURN(ChunkPutResult moved, PutInternal(chunk.payload, Dependency(), extent));
-    auto update_or = client->UpdateReference(chunk.locator, moved.locator, moved.dep);
+    auto update_or = client->UpdateReference(*holder, chunk.locator, moved.locator, moved.dep);
     Unpin(moved.locator.extent);
     if (!update_or.ok()) {
       return update_or.status();

@@ -40,18 +40,29 @@ struct ChunkPutResult {
   Dependency dep;
 };
 
+// Who holds the reference to a live chunk, in the reclaim client's own terms. The chunk
+// store never looks inside: it hands the value back to UpdateReference.
+struct ChunkHolder {
+  uint32_t kind = 0;
+  uint64_t id = 0;
+
+  friend bool operator==(const ChunkHolder&, const ChunkHolder&) = default;
+};
+
 // How the reclaimer learns whether a chunk is live and how to repoint references.
 class ReclaimClient {
  public:
   virtual ~ReclaimClient() = default;
 
-  // True if some index structure still references `loc`.
-  virtual Result<bool> IsReferenced(const Locator& loc) = 0;
+  // Who still references `loc`; nullopt when nothing does (the chunk is garbage).
+  virtual Result<std::optional<ChunkHolder>> FindHolder(const Locator& loc) = 0;
 
-  // The chunk at `old_loc` has been evacuated to `new_loc` (whose write persists once
-  // `new_dep` does); update every reference and return a dependency that is persistent
-  // once the updated references — gated on the evacuated data itself — are durable.
-  virtual Result<Dependency> UpdateReference(const Locator& old_loc, const Locator& new_loc,
+  // The chunk at `old_loc`, held by `holder` (FindHolder's answer), has been evacuated
+  // to `new_loc` (whose write persists once `new_dep` does); update the reference and
+  // return a dependency that is persistent once the updated reference — gated on the
+  // evacuated data itself — is durable.
+  virtual Result<Dependency> UpdateReference(const ChunkHolder& holder,
+                                             const Locator& old_loc, const Locator& new_loc,
                                              const Dependency& new_dep) = 0;
 
   // Dependency that persists once the index state justifying "unreferenced" verdicts is

@@ -3,28 +3,9 @@
 namespace ss {
 namespace common {
 
-namespace {
-
-// SplitMix64 — the same stream-seeding mix ss::Rng uses, inlined so the jitter draw
-// stays a pure function of (seed, attempt) with no shared RNG state.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 RetryPolicy::RetryPolicy(RetryOptions options) : options_(options) {
   if (options_.max_attempts == 0) {
     options_.max_attempts = 1;
-  }
-  if (options_.jitter < 0.0) {
-    options_.jitter = 0.0;
-  }
-  if (options_.jitter > 1.0) {
-    options_.jitter = 1.0;
   }
 }
 
@@ -38,19 +19,6 @@ uint64_t RetryPolicy::BackoffTicks(uint32_t failed_attempts) const {
   uint64_t ticks = shift >= 63 ? UINT64_MAX : options_.backoff_base_ticks << shift;
   if (shift < 63 && (ticks >> shift) != options_.backoff_base_ticks) {
     ticks = UINT64_MAX;  // the shift overflowed
-  }
-  if (options_.max_backoff_ticks != 0 && ticks > options_.max_backoff_ticks) {
-    ticks = options_.max_backoff_ticks;
-  }
-  if (options_.jitter > 0.0) {
-    // Deterministic multiplicative jitter in [1-jitter, 1+jitter]: the draw depends
-    // only on (jitter_seed, failed_attempts), never on call order.
-    const uint64_t draw = SplitMix64(options_.jitter_seed ^ (0x632be59bd9b4e019ull *
-                                                            (failed_attempts + 1)));
-    const double unit = static_cast<double>(draw >> 11) * 0x1.0p-53;  // [0, 1)
-    const double factor = 1.0 + options_.jitter * (2.0 * unit - 1.0);
-    const double scaled = static_cast<double>(ticks) * factor;
-    ticks = scaled < 1.0 ? 1 : static_cast<uint64_t>(scaled);
   }
   return ticks;
 }
@@ -69,11 +37,6 @@ RetryPolicy::RunResult RetryPolicy::Run(const std::function<Status(uint32_t)>& a
       return result;
     }
     const uint64_t wait = BackoffTicks(i + 1);
-    if (options_.total_backoff_budget_ticks != 0 &&
-        result.backoff_ticks + wait > options_.total_backoff_budget_ticks) {
-      result.exhausted = true;
-      return result;
-    }
     result.backoff_ticks += wait;
     if (charge != nullptr && wait > 0) {
       charge(wait);

@@ -3,14 +3,13 @@
 // Two layers retry transient failures: the extent layer (ExtentManager retries
 // injected IO faults against one disk) and the cluster tier (ClusterCoordinator
 // retries dropped or timed-out quorum RPCs against remote replicas). Both need the
-// same semantics — a bounded attempt budget, exponential backoff charged to a
-// *virtual* clock instead of a wall-clock sleep, optional deterministic jitter, and a
-// cap on the total backoff an operation may spend — so those semantics are defined
-// once here and tested once (tests/cluster_test.cc, RetryPolicy* cases) instead of
-// drifting apart per call site.
+// same semantics — a bounded attempt budget and exponential backoff charged to a
+// *virtual* clock instead of a wall-clock sleep — so those semantics are defined once
+// here and tested once (tests/cluster_test.cc, RetryPolicy* cases) instead of drifting
+// apart per call site.
 //
-// Determinism contract: everything the policy decides (wait lengths, jitter, when to
-// give up) is a pure function of RetryOptions and the attempt index. No wall clock,
+// Determinism contract: everything the policy decides (wait lengths, when to give up)
+// is a pure function of RetryOptions and the attempt index. No wall clock,
 // no global RNG — harness runs replay exactly from their seeds, and model-checked
 // executions see identical retry behaviour on every explored schedule.
 
@@ -32,17 +31,6 @@ struct RetryOptions {
   // Virtual ticks charged before the first retry; doubles per subsequent retry
   // (1, 2, 4, ... times the base).
   uint64_t backoff_base_ticks = 1;
-  // Per-wait cap on the exponential schedule. 0 = uncapped.
-  uint64_t max_backoff_ticks = 0;
-  // Total-backoff budget across one operation's retries. Once the accumulated
-  // backoff would exceed it, the policy stops retrying (the attempt budget may be
-  // unspent). 0 = unlimited.
-  uint64_t total_backoff_budget_ticks = 0;
-  // Deterministic jitter: each wait is scaled by a factor drawn from
-  // [1-jitter, 1+jitter] using SplitMix64 over (jitter_seed, attempt). 0 disables
-  // jitter entirely (the wait is exactly the exponential schedule).
-  double jitter = 0.0;
-  uint64_t jitter_seed = 0;
 };
 
 class RetryPolicy {
@@ -54,21 +42,20 @@ class RetryPolicy {
   const RetryOptions& options() const { return options_; }
 
   // Backoff charged after `failed_attempts` attempts have failed (1-based: the wait
-  // before retry k is BackoffTicks(k)). Applies the exponential schedule, the
-  // per-wait cap, and deterministic jitter. BackoffTicks(0) is 0.
+  // before retry k is BackoffTicks(k)): the exponential schedule, saturating at
+  // UINT64_MAX. BackoffTicks(0) is 0.
   uint64_t BackoffTicks(uint32_t failed_attempts) const;
 
   struct RunResult {
     Status status;               // the final attempt's status (Ok on success)
     uint32_t attempts = 0;       // attempts actually made (>= 1)
     uint64_t backoff_ticks = 0;  // total ticks charged to `charge`
-    // True when retries stopped because a budget ran out (attempts or total
-    // backoff) while the failure was still transient.
+    // True when the attempt budget ran out while the failure was still transient.
     bool exhausted = false;
   };
 
   // Runs `attempt` (which receives the 0-based attempt index) until it succeeds,
-  // fails non-retryably (Status::retryable() is false), or a budget runs out.
+  // fails non-retryably (Status::retryable() is false), or the attempts run out.
   // Between attempts the policy calls `charge(ticks)` so the caller can advance its
   // virtual clock; `charge` may be null when the caller does not track time.
   RunResult Run(const std::function<Status(uint32_t)>& attempt,

@@ -40,6 +40,7 @@ uint64_t IoScheduler::DomainKey(Kind kind, ExtentId extent) const {
 Dependency IoScheduler::EnqueueLocked(Record record) {
   record.done = Dependency::MakeLeaf();
   record.seq = next_seq_++;
+  domain_seqs_[record.domain].push_back(record.seq);
   Dependency done = record.done;
   queue_.push_back(std::move(record));
   enqueued_->Increment();
@@ -139,16 +140,16 @@ Dependency IoScheduler::EnqueueReset(ExtentId extent, std::vector<Dependency> in
 }
 
 bool IoScheduler::ReadyLocked(const Record& record) const {
-  if (!record.input.IsPersistent()) {
-    return false;
+  return record.input.IsPersistent() && domain_seqs_.at(record.domain).front() == record.seq;
+}
+
+void IoScheduler::EraseLocked(std::deque<Record>::iterator it) {
+  auto domain = domain_seqs_.find(it->domain);
+  domain->second.pop_front();
+  if (domain->second.empty()) {
+    domain_seqs_.erase(domain);
   }
-  // Must be the oldest pending record of its domain.
-  for (const Record& other : queue_) {
-    if (other.domain == record.domain && other.seq < record.seq) {
-      return false;
-    }
-  }
-  return true;
+  queue_.erase(it);
 }
 
 Status IoScheduler::IssueLocked(Record& record) {
@@ -191,7 +192,7 @@ size_t IoScheduler::Pump(size_t max_records) {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (ReadyLocked(*it)) {
         IssueLocked(*it);  // Failed records are dropped; their deps report Failed().
-        queue_.erase(it);
+        EraseLocked(it);
         ++issued;
         progress = true;
         break;
@@ -230,35 +231,22 @@ Status IoScheduler::FlushAll(const SpanScope& scope) {
   }
 }
 
-void IoScheduler::Crash(Rng& rng, double persist_bias) {
+size_t IoScheduler::CrashWalk(const std::function<bool()>& persist) {
   LockGuard lock(mu_);
   crashes_->Increment();
   std::set<uint64_t> stopped_domains;
-  // Repeatedly find the first record that could legally be the next to reach the disk;
-  // flip a coin to decide whether the crash happened before or after that IO.
+  size_t decisions = 0;
   while (true) {
-    Record* candidate = nullptr;
-    for (Record& r : queue_) {
-      if (stopped_domains.count(r.domain) != 0) {
-        continue;
-      }
-      if (ReadyLocked(r)) {
-        candidate = &r;
-        break;
-      }
-    }
-    if (candidate == nullptr) {
+    auto candidate = std::find_if(queue_.begin(), queue_.end(), [&](const Record& r) {
+      return stopped_domains.count(r.domain) == 0 && ReadyLocked(r);
+    });
+    if (candidate == queue_.end()) {
       break;
     }
-    if (rng.Chance(persist_bias)) {
+    ++decisions;
+    if (persist()) {
       IssueLocked(*candidate);
-      // Erase the issued record.
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (&*it == candidate) {
-          queue_.erase(it);
-          break;
-        }
-      }
+      EraseLocked(candidate);
     } else {
       // This IO (and everything behind it in its domain) never reached the disk.
       stopped_domains.insert(candidate->domain);
@@ -267,46 +255,24 @@ void IoScheduler::Crash(Rng& rng, double persist_bias) {
   dropped_by_crash_->Increment(queue_.size());
   // Dropped records leave their leaves unpersisted forever.
   queue_.clear();
+  domain_seqs_.clear();
+  return decisions;
+}
+
+void IoScheduler::Crash(Rng& rng, double persist_bias) {
+  CrashWalk([&] { return rng.Chance(persist_bias); });
 }
 
 void IoScheduler::CrashScripted(const std::vector<bool>& plan, size_t* decisions_used) {
-  LockGuard lock(mu_);
-  crashes_->Increment();
-  std::set<uint64_t> stopped_domains;
-  size_t decision = 0;
-  while (true) {
-    Record* candidate = nullptr;
-    for (Record& r : queue_) {
-      if (stopped_domains.count(r.domain) != 0) {
-        continue;
-      }
-      if (ReadyLocked(r)) {
-        candidate = &r;
-        break;
-      }
-    }
-    if (candidate == nullptr) {
-      break;
-    }
-    const bool persist = decision < plan.size() && plan[decision];
-    ++decision;
-    if (persist) {
-      IssueLocked(*candidate);
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (&*it == candidate) {
-          queue_.erase(it);
-          break;
-        }
-      }
-    } else {
-      stopped_domains.insert(candidate->domain);
-    }
-  }
+  size_t next = 0;
+  const size_t used = CrashWalk([&] {
+    const bool persist = next < plan.size() && plan[next];
+    ++next;
+    return persist;
+  });
   if (decisions_used != nullptr) {
-    *decisions_used = decision;
+    *decisions_used = used;
   }
-  dropped_by_crash_->Increment(queue_.size());
-  queue_.clear();
 }
 
 void IoScheduler::CrashDropAll() {
@@ -314,6 +280,7 @@ void IoScheduler::CrashDropAll() {
   crashes_->Increment();
   dropped_by_crash_->Increment(queue_.size());
   queue_.clear();
+  domain_seqs_.clear();
 }
 
 size_t IoScheduler::PendingCount() const {

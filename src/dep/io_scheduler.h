@@ -19,8 +19,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -139,14 +141,24 @@ class IoScheduler {
   std::string PendingDotLocked(std::string_view name_prefix) const;
   Dependency EnqueueLocked(Record record);
   // True if `record` may be issued now: inputs persistent and it is the oldest
-  // unissued record of its domain within `queue`.
+  // unissued record of its domain.
   bool ReadyLocked(const Record& record) const;
+  // Removes an issued (hence domain-oldest) record from the queue.
+  void EraseLocked(std::deque<Record>::iterator it);
+  // The crash walk behind Crash and CrashScripted: repeatedly takes the first record in
+  // queue order that could legally be the next to reach the disk and asks `persist`
+  // whether it did (true) or whether the crash cut its domain first (false). Drops
+  // everything left. Returns how many decisions the walk took.
+  size_t CrashWalk(const std::function<bool()>& persist);
   // Applies the record's effect to the disk. Returns the disk status.
   Status IssueLocked(Record& record);
 
   mutable Mutex mu_{MutexAttr{"io.scheduler", lockrank::kIo}};
   Disk* disk_;
   std::deque<Record> queue_;
+  // Pending seqs per domain, oldest first. Records leave a domain only once issued,
+  // which requires being its oldest, so they always leave from the front.
+  std::unordered_map<uint64_t, std::deque<uint64_t>> domain_seqs_;
   uint64_t next_seq_ = 0;
   uint32_t coalesce_depth_ = 0;
   std::unique_ptr<MetricRegistry> owned_metrics_;

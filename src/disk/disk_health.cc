@@ -14,8 +14,7 @@ std::string_view DiskHealthName(DiskHealth health) {
   return "?";
 }
 
-DiskHealthTracker::DiskHealthTracker(DiskHealthOptions options, MetricRegistry* metrics)
-    : options_(options) {
+DiskHealthTracker::DiskHealthTracker(MetricRegistry* metrics) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricRegistry>();
     metrics = owned_metrics_.get();
@@ -30,9 +29,9 @@ void DiskHealthTracker::RecordTransientLocked() {
   transient_total_->Increment();
   success_streak_ = 0;
   ++windowed_errors_;
-  if (health_ == DiskHealth::kHealthy && windowed_errors_ >= options_.degrade_after) {
+  if (health_ == DiskHealth::kHealthy && windowed_errors_ >= kDegradeAfter) {
     health_ = DiskHealth::kDegraded;
-  } else if (health_ == DiskHealth::kDegraded && windowed_errors_ >= options_.fail_after) {
+  } else if (health_ == DiskHealth::kDegraded && windowed_errors_ >= kFailAfter) {
     health_ = DiskHealth::kFailed;
   }
   state_->Set(static_cast<int64_t>(health_));
@@ -56,7 +55,7 @@ void DiskHealthTracker::RecordSuccess() {
   if (windowed_errors_ == 0) {
     return;
   }
-  if (++success_streak_ >= options_.success_decay) {
+  if (++success_streak_ >= kSuccessDecay) {
     success_streak_ = 0;
     --windowed_errors_;
   }
@@ -76,12 +75,9 @@ uint32_t DiskHealthTracker::budget_remaining() const {
   LockGuard lock(mu_);
   switch (health_) {
     case DiskHealth::kHealthy:
-      return windowed_errors_ >= options_.degrade_after
-                 ? 0
-                 : options_.degrade_after - windowed_errors_;
+      return windowed_errors_ >= kDegradeAfter ? 0 : kDegradeAfter - windowed_errors_;
     case DiskHealth::kDegraded:
-      return windowed_errors_ >= options_.fail_after ? 0
-                                                     : options_.fail_after - windowed_errors_;
+      return windowed_errors_ >= kFailAfter ? 0 : kFailAfter - windowed_errors_;
     case DiskHealth::kFailed:
       return 0;
   }

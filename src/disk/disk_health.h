@@ -41,20 +41,18 @@ enum class DiskHealth : uint8_t {
 // "healthy", "degraded", "failed".
 std::string_view DiskHealthName(DiskHealth health);
 
-struct DiskHealthOptions {
-  // Transient errors (after decay) that trip healthy -> degraded.
-  uint32_t degrade_after = 8;
-  // Transient errors (after decay) that trip degraded -> failed.
-  uint32_t fail_after = 24;
-  // Consecutive successes that forgive one windowed transient error.
-  uint32_t success_decay = 4;
-};
-
 class DiskHealthTracker {
  public:
   // Lifetime counters land in `metrics` (disk.health.*) when provided; otherwise the
   // tracker owns a private registry so direct construction keeps working.
-  explicit DiskHealthTracker(DiskHealthOptions options = {}, MetricRegistry* metrics = nullptr);
+  explicit DiskHealthTracker(MetricRegistry* metrics = nullptr);
+
+  // Transient errors (after decay) that trip healthy -> degraded.
+  static constexpr uint32_t kDegradeAfter = 8;
+  // Transient errors (after decay) that trip degraded -> failed.
+  static constexpr uint32_t kFailAfter = 24;
+  // Consecutive successes that forgive one windowed transient error.
+  static constexpr uint32_t kSuccessDecay = 4;
 
   // A transient IO fault was observed (each failed retry attempt counts: a disk that
   // needs three attempts per read is burning budget three times as fast).
@@ -80,7 +78,6 @@ class DiskHealthTracker {
   void RecordTransientLocked();
 
   mutable Mutex mu_{MutexAttr{"disk.health", lockrank::kHealth}};
-  DiskHealthOptions options_;
   DiskHealth health_ = DiskHealth::kHealthy;
   uint32_t windowed_errors_ = 0;
   uint32_t success_streak_ = 0;

@@ -55,36 +55,6 @@ struct IndexStack {
   }
 };
 
-// Reclaim client for the index-only stack: references are the LSM's own (run chunks);
-// fabricated shard locators never collide with real extents. Holds the stack, not the
-// index: reboots replace the index object.
-class IndexReclaimClient : public ReclaimClient {
- public:
-  explicit IndexReclaimClient(IndexStack* stack) : stack_(stack) {}
-
-  Result<bool> IsReferenced(const Locator& loc) override {
-    if (stack_->index->MetadataReferences(loc)) {
-      return true;
-    }
-    SS_ASSIGN_OR_RETURN(std::optional<ShardId> owner,
-                        stack_->index->FindShardReferencing(loc));
-    return owner.has_value();
-  }
-
-  Result<Dependency> UpdateReference(const Locator& old_loc, const Locator& new_loc,
-                                     const Dependency& new_dep) override {
-    if (stack_->index->MetadataReferences(old_loc)) {
-      return stack_->index->RelocateRunChunk(old_loc, new_loc, new_dep);
-    }
-    return stack_->index->RelocateShardChunk(old_loc, new_loc, new_dep);
-  }
-
-  Dependency DropGate() override { return stack_->index->StateDurableGate(); }
-
- private:
-  IndexStack* stack_;
-};
-
 }  // namespace
 
 std::string IndexOp::ToString() const {
@@ -162,7 +132,6 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
     return "open failed: " + status.ToString();
   }
   IndexModel model;
-  IndexReclaimClient client(&stack);
 
   for (size_t i = 0; i < ops.size(); ++i) {
     const IndexOp& op = ops[i];
@@ -204,7 +173,10 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
         if (candidates.empty()) {
           break;
         }
-        Status status = stack.chunks->Reclaim(candidates[op.key % candidates.size()], &client);
+        // Fabricated shard locators never collide with real extents, so the
+        // index's references are its own run chunks.
+        Status status =
+            stack.chunks->Reclaim(candidates[op.key % candidates.size()], stack.index.get());
         if (!status.ok() && status.code() != StatusCode::kUnavailable &&
             status.code() != StatusCode::kResourceExhausted) {
           return fail(i, "reclaim failed: " + status.ToString());
@@ -326,16 +298,17 @@ class HarnessReclaimClient : public ReclaimClient {
 
   std::vector<LiveChunk> live;
 
-  Result<bool> IsReferenced(const Locator& loc) override {
+  Result<std::optional<ChunkHolder>> FindHolder(const Locator& loc) override {
     for (const LiveChunk& chunk : live) {
       if (chunk.impl == loc) {
-        return true;
+        return std::optional<ChunkHolder>(ChunkHolder{});
       }
     }
-    return false;
+    return std::optional<ChunkHolder>(std::nullopt);
   }
 
-  Result<Dependency> UpdateReference(const Locator& old_loc, const Locator& new_loc,
+  Result<Dependency> UpdateReference(const ChunkHolder& holder, const Locator& old_loc,
+                                     const Locator& new_loc,
                                      const Dependency& new_dep) override {
     for (LiveChunk& chunk : live) {
       if (chunk.impl == old_loc) {

@@ -186,6 +186,28 @@ std::function<void()> MakeScanFlushBody() {
   };
 }
 
+std::function<void()> MakeListFlushBody() {
+  return [] {
+    std::shared_ptr<Disk> disk = std::make_shared<InMemoryDisk>(SmallGeometry());
+    auto store_or = ShardStore::Open(disk.get());
+    MC_CHECK(store_or.ok(), "open failed");
+    std::shared_ptr<ShardStore> store(std::move(store_or).value());
+
+    // The key lives only in the memtable until the racing flush moves it into a run.
+    MC_CHECK(store->Put(3, PatternValue(3, 64)).ok(), "setup put");
+    Thread flusher = Thread::Spawn([store] {
+      Status flush = store->FlushIndex();
+      MC_CHECK(flush.ok() || flush.code() == StatusCode::kResourceExhausted,
+               "racing flush failed: " + flush.ToString());
+    });
+
+    auto listed = store->List();
+    MC_CHECK(listed.ok(), "list failed: " + listed.status().ToString());
+    MC_CHECK(listed.value() == std::vector<ShardId>{3}, "listing missed a live shard");
+    flusher.Join();
+  };
+}
+
 std::function<void()> MakeScanCompactBody() {
   return [] {
     std::shared_ptr<Disk> disk = std::make_shared<InMemoryDisk>(SmallGeometry());

@@ -29,6 +29,10 @@ std::function<void()> MakeFlushReclaimBody();
 // deleted key must never resurrect mid-scan.
 std::function<void()> MakeScanFlushBody();
 
+// Listing ∥ index flush: a key that sits in the memtable while a flush moves it into a
+// run must appear in ShardStore::List, which snapshots memtable and runs together.
+std::function<void()> MakeListFlushBody();
+
 // Range scan ∥ CompactLevel: compaction rewrites runs (including dropping tombstones
 // at the bottom) while a scan merges across the levels. Compaction never changes the
 // logical mapping, so the scan must equal the exact expected live set under every

@@ -291,7 +291,7 @@ Result<std::vector<ShardId>> ShardStore::List() { return index_->Keys(); }
 
 Status ShardStore::ReclaimExtent(ExtentId extent) {
   reclaims_->Increment();
-  return chunks_->Reclaim(extent, this);
+  return chunks_->Reclaim(extent, index_.get());
 }
 
 Status ShardStore::ReclaimAny() {
@@ -317,23 +317,5 @@ Status ShardStore::FlushAll(const SpanScope& scope) {
   span.set_status(status.code());
   return status;
 }
-
-Result<bool> ShardStore::IsReferenced(const Locator& loc) {
-  if (index_->MetadataReferences(loc)) {
-    return true;
-  }
-  SS_ASSIGN_OR_RETURN(std::optional<ShardId> owner, index_->FindShardReferencing(loc));
-  return owner.has_value();
-}
-
-Result<Dependency> ShardStore::UpdateReference(const Locator& old_loc, const Locator& new_loc,
-                                               const Dependency& new_dep) {
-  if (index_->MetadataReferences(old_loc)) {
-    return index_->RelocateRunChunk(old_loc, new_loc, new_dep);
-  }
-  return index_->RelocateShardChunk(old_loc, new_loc, new_dep);
-}
-
-Dependency ShardStore::DropGate() { return index_->StateDurableGate(); }
 
 }  // namespace ss

@@ -38,7 +38,7 @@ struct ShardStoreOptions {
   // Largest accepted shard value (split across this many chunks at most).
   size_t max_chunks_per_shard = 16;
   // Transient-fault retry policy for the extent layer.
-  IoRetryOptions retry;
+  common::RetryOptions retry;
 };
 
 // One live entry of a range scan: the shard id plus its fully assembled value.
@@ -64,7 +64,7 @@ struct StoreBatchResult {
   Dependency dep;  // join of the successful items' dependencies
 };
 
-class ShardStore : public ReclaimClient {
+class ShardStore {
  public:
   // Opens (formatting a fresh disk, or recovering an existing image). The disk must
   // outlive the store.
@@ -115,7 +115,8 @@ class ShardStore : public ReclaimClient {
     return index_->CompactLevel(level, scope);
   }
 
-  // Reclaims one specific extent / the first reclaimable extent (no-op if none).
+  // Reclaims one specific extent / the first reclaimable extent (no-op if none). The
+  // index is the reclaim client: it knows who references each chunk.
   Status ReclaimExtent(ExtentId extent);
   Status ReclaimAny();
 
@@ -128,12 +129,6 @@ class ShardStore : public ReclaimClient {
   // gated on the batch's still-unresolved soft-pointer promises and misreport a
   // forward-progress violation.
   Status FlushAll(const SpanScope& scope = {});
-
-  // --- ReclaimClient ---------------------------------------------------------------------
-  Result<bool> IsReferenced(const Locator& loc) override;
-  Result<Dependency> UpdateReference(const Locator& old_loc, const Locator& new_loc,
-                                     const Dependency& new_dep) override;
-  Dependency DropGate() override;
 
   // --- Introspection ---------------------------------------------------------------------
   IoScheduler& scheduler() { return *scheduler_; }

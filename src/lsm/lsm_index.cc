@@ -1,7 +1,6 @@
 #include "src/lsm/lsm_index.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/chunk/chunk_format.h"
 #include "src/common/cover.h"
@@ -365,136 +364,88 @@ Result<std::optional<ShardRecord>> LsmIndex::Get(ShardId id, const SpanScope& sc
 Result<std::vector<LsmScanItem>> LsmIndex::Scan(ShardId start, ShardId end,
                                                 const SpanScope& scope) {
   Span span = scope.Child("lsm.scan");
-  const SpanScope child_scope = span.scope();
   scans_->Increment();
   if (start >= end) {
     return std::vector<LsmScanItem>{};  // empty window
   }
-  using Slice = std::vector<std::pair<ShardId, std::optional<ShardRecord>>>;
+  auto items_or = LiveView(start, end - 1, span.scope());
+  if (!items_or.ok()) {
+    span.set_status(items_or.code());
+    return items_or.status();
+  }
+  scan_items_->Increment(items_or.value().size());
+  return items_or;
+}
+
+Result<std::vector<ShardId>> LsmIndex::Keys() {
+  SS_ASSIGN_OR_RETURN(std::vector<LsmScanItem> items, LiveView(0, UINT64_MAX, {}));
+  std::vector<ShardId> out;
+  out.reserve(items.size());
+  for (const LsmScanItem& item : items) {
+    out.push_back(item.id);
+  }
+  return out;
+}
+
+Result<std::vector<LsmScanItem>> LsmIndex::LiveView(ShardId first, ShardId last,
+                                                    const SpanScope& scope,
+                                                    const LiveStop& stop) {
   Status last_error = Status::Ok();
   for (int attempt = 0; attempt < 4; ++attempt) {
     std::vector<std::pair<Locator, std::shared_ptr<const RunFilter>>> runs_snapshot;
-    Slice memtable_slice;
+    RunMap memtable_slice;
     {
-      // One mu_ hold for both snapshots: the memtable overlay and the run list are a
-      // consistent point-in-time view (a racing flush moves entries run-ward, which
-      // only makes both copies agree).
       LockGuard lock(mu_);
       for (const RunRef& run : runs_) {
         runs_snapshot.push_back({run.loc, run.filter});
       }
-      for (auto it = memtable_.lower_bound(start); it != memtable_.end() && it->first < end;
+      for (auto it = memtable_.lower_bound(first); it != memtable_.end() && it->first <= last;
            ++it) {
-        memtable_slice.push_back({it->first, it->second.value});
+        memtable_slice.emplace_hint(memtable_slice.end(), it->first, it->second.value);
       }
     }
-    // Sources in age order, oldest first; the memtable is appended last so the merge's
-    // "highest source index wins" rule implements newest-shadows-oldest.
-    std::vector<Slice> sources;
+    // Newest source first, so a key's first entry is its newest and shadows the rest
+    // (tombstones included: they are kept here and suppress the key at the end).
+    std::map<ShardId, std::optional<ShardRecord>> newest;
+    auto take = [&](RunMap& entries) {
+      for (auto it = entries.lower_bound(first); it != entries.end() && it->first <= last;
+           ++it) {
+        auto [slot, fresh] = newest.try_emplace(it->first, std::move(it->second));
+        if (fresh && slot->second.has_value() && stop != nullptr &&
+            stop(slot->first, *slot->second)) {
+          return true;
+        }
+      }
+      return false;
+    };
+    bool stopped = take(memtable_slice);
     bool retry = false;
-    for (const auto& [loc, filter] : runs_snapshot) {
-      if (filter != nullptr && !filter->OverlapsRange(start, end)) {
+    for (auto rit = runs_snapshot.rbegin(); !stopped && rit != runs_snapshot.rend(); ++rit) {
+      const auto& [loc, filter] = *rit;
+      if (filter != nullptr && !filter->OverlapsRange(first, last)) {
         continue;  // the run's key range misses the window: no chunk read
       }
-      auto run_or = LoadRun(loc, child_scope);
+      auto run_or = LoadRun(loc, scope);
       if (!run_or.ok()) {
         last_error = run_or.status();
         retry = true;
         break;
       }
-      Slice slice;
-      const RunMap& entries = run_or.value().entries;
-      for (auto it = entries.lower_bound(start); it != entries.end() && it->first < end; ++it) {
-        slice.push_back({it->first, it->second});
-      }
-      if (!slice.empty()) {
-        sources.push_back(std::move(slice));
-      }
+      stopped = take(run_or.value().entries);
     }
     if (retry) {
       YieldThread();
       continue;
     }
-    sources.push_back(std::move(memtable_slice));
-
-    // K-way merge iterator: repeatedly emit the smallest key across all cursors; at
-    // equal keys the newest source wins and every older cursor steps past (tombstones
-    // are merged like values and suppress the key at the end).
-    std::vector<size_t> cursor(sources.size(), 0);
     std::vector<LsmScanItem> out;
-    for (;;) {
-      bool any = false;
-      ShardId next_key = 0;
-      for (size_t s = 0; s < sources.size(); ++s) {
-        if (cursor[s] < sources[s].size()) {
-          const ShardId k = sources[s][cursor[s]].first;
-          if (!any || k < next_key) {
-            any = true;
-            next_key = k;
-          }
-        }
-      }
-      if (!any) {
-        break;
-      }
-      std::optional<ShardRecord> value;
-      for (size_t s = 0; s < sources.size(); ++s) {  // ascending age rank: last wins
-        if (cursor[s] < sources[s].size() && sources[s][cursor[s]].first == next_key) {
-          value = std::move(sources[s][cursor[s]].second);
-          ++cursor[s];
-        }
-      }
+    for (auto& [id, value] : newest) {
       if (value.has_value()) {
-        out.push_back(LsmScanItem{next_key, std::move(*value)});
+        out.push_back(LsmScanItem{id, std::move(*value)});
       }
     }
-    scan_items_->Increment(out.size());
     return out;
   }
-  span.set_status(last_error.code());
   return last_error;
-}
-
-Result<std::vector<ShardId>> LsmIndex::Keys() {
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    std::vector<Locator> runs_snapshot;
-    std::map<ShardId, bool> live;
-    {
-      LockGuard lock(mu_);
-      for (const RunRef& run : runs_) {
-        runs_snapshot.push_back(run.loc);
-      }
-    }
-    bool retry = false;
-    for (const Locator& loc : runs_snapshot) {  // oldest first; later entries override
-      auto run_or = LoadRun(loc);
-      if (!run_or.ok()) {
-        retry = true;
-        break;
-      }
-      for (const auto& [id, value] : run_or.value().entries) {
-        live[id] = value.has_value();
-      }
-    }
-    if (retry) {
-      YieldThread();
-      continue;
-    }
-    {
-      LockGuard lock(mu_);
-      for (const auto& [id, entry] : memtable_) {
-        live[id] = entry.value.has_value();
-      }
-    }
-    std::vector<ShardId> out;
-    for (const auto& [id, is_live] : live) {
-      if (is_live) {
-        out.push_back(id);
-      }
-    }
-    return out;
-  }
-  return Status::Unavailable("keys: persistent snapshot churn");
 }
 
 Result<Dependency> LsmIndex::WriteMetadataLocked(Dependency input, const SpanScope& scope) {
@@ -603,6 +554,49 @@ std::vector<LsmIndex::RunMap> LsmIndex::PartitionRun(const RunMap& entries,
   return segments;
 }
 
+Status LsmIndex::WriteRun(const RunMap& entries, const Dependency& input, int level,
+                          const SpanScope& scope, const RunCommit& commit) {
+  // A run larger than the chunk store's max payload is split into segments. Put pins
+  // each destination extent; the pins are held until the metadata references the runs.
+  // Seeded bug #14 releases them immediately, reproducing the flush/compaction-vs-
+  // reclamation race.
+  const bool early_unpin = BugEnabled(SeededBug::kCompactReclaimMetadataRace);
+  std::vector<ChunkPutResult> puts;
+  std::vector<std::shared_ptr<const RunFilter>> filters;
+  Status status = Status::Ok();
+  for (const RunMap& segment : PartitionRun(entries, chunks_->max_payload_bytes())) {
+    BuiltRun built = BuildRun(segment);
+    auto put_or = chunks_->Put(std::move(built.payload), input, scope);
+    if (!put_or.ok()) {
+      status = put_or.status();
+      break;
+    }
+    puts.push_back(put_or.value());
+    filters.push_back(std::move(built.filter));
+    if (early_unpin) {
+      SS_COVER("lsm.bug14_early_unpin");
+      chunks_->Unpin(put_or.value().locator.extent);
+    }
+  }
+  if (status.ok()) {
+    YieldThread();  // the preemption window behind bug #14 (paper's issue example)
+    LockGuard lock(mu_);
+    std::vector<RunRef> fresh;
+    Dependency runs_dep;
+    for (size_t i = 0; i < puts.size(); ++i) {
+      fresh.push_back(RunRef{puts[i].locator, puts[i].dep, level, filters[i]});
+      runs_dep = runs_dep.And(puts[i].dep);
+    }
+    status = commit(std::move(fresh), runs_dep);
+  }
+  if (!early_unpin) {
+    for (const ChunkPutResult& put : puts) {
+      chunks_->Unpin(put.locator.extent);
+    }
+  }
+  return status;
+}
+
 Status LsmIndex::FlushLocked(const SpanScope& scope) {
   RunMap entries;
   std::vector<Dependency> data_deps;
@@ -618,73 +612,24 @@ Status LsmIndex::FlushLocked(const SpanScope& scope) {
       max_seq = std::max(max_seq, entry.seq);
     }
   }
-  // Serialize into one or more level-0 run chunks (a run larger than the chunk store's
-  // max payload is split into segments). No run chunk may persist before the data its
-  // entries point to (Figure 2's ordering), hence the input dependency. Put pins each
-  // destination extent; the pins are held until the metadata references the runs.
-  // Seeded bug #14 releases them immediately, reproducing the flush/compaction-vs-
-  // reclamation race.
-  const Dependency data_gate = Dependency::AndAll(data_deps);
-  std::vector<ChunkPutResult> puts;
-  std::vector<std::shared_ptr<const RunFilter>> filters;
-  Status status = Status::Ok();
-  for (const RunMap& segment : PartitionRun(entries, chunks_->max_payload_bytes())) {
-    BuiltRun built = BuildRun(segment);
-    auto put_or = chunks_->Put(std::move(built.payload), data_gate, scope);
-    if (!put_or.ok()) {
-      status = put_or.status();
-      break;
-    }
-    puts.push_back(put_or.value());
-    filters.push_back(std::move(built.filter));
-    if (BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-      SS_COVER("lsm.bug14_early_unpin");
-      chunks_->Unpin(put_or.value().locator.extent);
-    }
-  }
-  if (!status.ok()) {
-    for (const ChunkPutResult& put : puts) {
-      if (!BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-        chunks_->Unpin(put.locator.extent);
-      }
-    }
-    return status;
-  }
-  YieldThread();  // the preemption window behind bug #14
-
-  {
-    LockGuard lock(mu_);
-    Dependency runs_dep;
-    for (size_t i = 0; i < puts.size(); ++i) {
-      runs_.push_back(RunRef{puts[i].locator, puts[i].dep, 0, filters[i]});
-      runs_dep = runs_dep.And(puts[i].dep);
-    }
-    auto meta_or = WriteMetadataLocked(runs_dep, scope);
-    if (!meta_or.ok()) {
-      for (size_t i = 0; i < puts.size(); ++i) {
-        runs_.pop_back();
-      }
-      status = meta_or.status();
-    } else {
-      flushes_->Increment();
-      ResolvePromisesLocked(max_seq, meta_or.value());
-      // Drop only the entries the run covers; concurrent overwrites stay.
-      auto it = memtable_.begin();
-      while (it != memtable_.end()) {
-        if (it->second.seq <= max_seq) {
-          it = memtable_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-  if (!BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-    for (const ChunkPutResult& put : puts) {
-      chunks_->Unpin(put.locator.extent);
-    }
-  }
-  return status;
+  // No run chunk may persist before the data its entries point to (Figure 2's
+  // ordering), hence the input dependency.
+  return WriteRun(entries, Dependency::AndAll(data_deps), /*level=*/0, scope,
+                  [&](std::vector<RunRef> fresh, const Dependency& runs_dep) {
+                    runs_.insert(runs_.end(), fresh.begin(), fresh.end());
+                    auto meta_or = WriteMetadataLocked(runs_dep, scope);
+                    if (!meta_or.ok()) {
+                      runs_.resize(runs_.size() - fresh.size());
+                      return meta_or.status();
+                    }
+                    flushes_->Increment();
+                    ResolvePromisesLocked(max_seq, meta_or.value());
+                    // Drop only the entries the run covers; concurrent overwrites stay.
+                    std::erase_if(memtable_, [max_seq](const auto& item) {
+                      return item.second.seq <= max_seq;
+                    });
+                    return Status::Ok();
+                  });
 }
 
 Status LsmIndex::Compact() {
@@ -824,68 +769,29 @@ Status LsmIndex::CompactInternal(std::optional<int> level, const SpanScope& scop
       }
       tombstones_dropped_->Increment(dropped);
     }
-    std::vector<ChunkPutResult> puts;
-    std::vector<std::shared_ptr<const RunFilter>> filters;
-    Status status = Status::Ok();
-    for (const RunMap& segment : PartitionRun(merged, chunks_->max_payload_bytes())) {
-      BuiltRun built = BuildRun(segment);
-      auto put_or = chunks_->Put(std::move(built.payload), runs_durable, scope);
-      if (!put_or.ok()) {
-        status = put_or.status();
-        break;
-      }
-      puts.push_back(put_or.value());
-      filters.push_back(std::move(built.filter));
-      if (BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-        SS_COVER("lsm.bug14_early_unpin");
-        chunks_->Unpin(put_or.value().locator.extent);
-      }
-    }
-    if (!status.ok()) {
-      for (const ChunkPutResult& put : puts) {
-        if (!BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-          chunks_->Unpin(put.locator.extent);
-        }
-      }
-      return status;
-    }
-    YieldThread();  // the preemption window behind bug #14 (paper's issue example)
-
-    {
-      LockGuard lock(mu_);
-      // Membership and order of runs_ are stable while flush_mu_ is held (relocations
-      // may rewrite a locator/dep in place, which the merged content does not depend
-      // on), so the snapshot's [begin, begin+count) block is still the merge's input.
-      std::vector<RunRef> replaced(runs_.begin() + begin, runs_.begin() + begin + count);
-      Dependency runs_dep;
-      std::vector<RunRef> fresh;
-      for (size_t i = 0; i < puts.size(); ++i) {
-        fresh.push_back(RunRef{puts[i].locator, puts[i].dep, out_level, filters[i]});
-        runs_dep = runs_dep.And(puts[i].dep);
-      }
-      runs_.erase(runs_.begin() + begin, runs_.begin() + begin + count);
-      runs_.insert(runs_.begin() + begin, fresh.begin(), fresh.end());
-      auto meta_or = WriteMetadataLocked(runs_dep, scope);
-      if (!meta_or.ok()) {
-        // The new run list never persisted. Roll the in-memory list back to the runs
-        // the durable metadata still references: keeping the unreferenced new runs
-        // would let reclamation treat the OLD chunks as garbage while a post-crash
-        // recovery still points at them — silent data loss.
-        runs_.erase(runs_.begin() + begin, runs_.begin() + begin + fresh.size());
-        runs_.insert(runs_.begin() + begin, replaced.begin(), replaced.end());
-        status = meta_or.status();
-      } else if (level.has_value()) {
-        level_compactions_->Increment();
-      } else {
-        compactions_->Increment();
-      }
-    }
-    if (!BugEnabled(SeededBug::kCompactReclaimMetadataRace)) {
-      for (const ChunkPutResult& put : puts) {
-        chunks_->Unpin(put.locator.extent);
-      }
-    }
-    return status;
+    return WriteRun(
+        merged, runs_durable, out_level, scope,
+        [&](std::vector<RunRef> fresh, const Dependency& runs_dep) {
+          // Membership and order of runs_ are stable while flush_mu_ is held
+          // (relocations may rewrite a locator/dep in place, which the merged content
+          // does not depend on), so the snapshot's [begin, begin+count) block is still
+          // the merge's input.
+          std::vector<RunRef> replaced(runs_.begin() + begin, runs_.begin() + begin + count);
+          runs_.erase(runs_.begin() + begin, runs_.begin() + begin + count);
+          runs_.insert(runs_.begin() + begin, fresh.begin(), fresh.end());
+          auto meta_or = WriteMetadataLocked(runs_dep, scope);
+          if (!meta_or.ok()) {
+            // The new run list never persisted. Roll the in-memory list back to the
+            // runs the durable metadata still references: keeping the unreferenced new
+            // runs would let reclamation treat the OLD chunks as garbage while a
+            // post-crash recovery still points at them — silent data loss.
+            runs_.erase(runs_.begin() + begin, runs_.begin() + begin + fresh.size());
+            runs_.insert(runs_.begin() + begin, replaced.begin(), replaced.end());
+            return meta_or.status();
+          }
+          (level.has_value() ? level_compactions_ : compactions_)->Increment();
+          return Status::Ok();
+        });
   }
   return last_error;
 }
@@ -901,74 +807,44 @@ bool LsmIndex::NeedsShutdownFlush() const {
   return !memtable_.empty() || api_dirty_ || internal_dirty_;
 }
 
-Result<std::optional<ShardId>> LsmIndex::FindShardReferencing(const Locator& loc) {
-  // Memtable first: most recent state wins.
-  std::vector<Locator> runs_snapshot;
+Result<std::optional<ChunkHolder>> LsmIndex::FindHolder(const Locator& loc) {
   {
     LockGuard lock(mu_);
-    for (const auto& [id, entry] : memtable_) {
-      if (entry.value.has_value()) {
-        for (const Locator& c : entry.value->chunks) {
-          if (c == loc) {
-            return std::optional<ShardId>(id);
-          }
-        }
-      }
-    }
     for (const RunRef& run : runs_) {
-      runs_snapshot.push_back(run.loc);
-    }
-  }
-  // Then the runs, newest first. A shard's newest entry (memtable or newer run,
-  // including tombstones) shadows older entries: a chunk referenced only by a
-  // superseded record is garbage.
-  std::set<ShardId> decided;
-  {
-    LockGuard lock(mu_);
-    for (const auto& [id, entry] : memtable_) {
-      decided.insert(id);
-    }
-  }
-  for (auto rit = runs_snapshot.rbegin(); rit != runs_snapshot.rend(); ++rit) {
-    SS_ASSIGN_OR_RETURN(LoadedRun run, LoadRun(*rit));
-    for (const auto& [id, value] : run.entries) {
-      if (!decided.insert(id).second) {
-        continue;  // shadowed by a newer entry
-      }
-      if (!value.has_value()) {
-        continue;  // tombstone: this shard references nothing
-      }
-      for (const Locator& c : value->chunks) {
-        if (c == loc) {
-          return std::optional<ShardId>(id);
-        }
+      if (run.loc == loc) {
+        return std::optional<ChunkHolder>(ChunkHolder{kRunListHolder, 0});
       }
     }
   }
-  return std::optional<ShardId>(std::nullopt);
+  // A chunk listed only by a superseded record (or a tombstoned shard) is garbage: the
+  // live view holds each shard's newest entry alone.
+  std::optional<ChunkHolder> holder;
+  auto lists_loc = [&](ShardId id, const ShardRecord& record) {
+    if (std::find(record.chunks.begin(), record.chunks.end(), loc) == record.chunks.end()) {
+      return false;
+    }
+    holder = ChunkHolder{kShardHolder, id};
+    return true;
+  };
+  SS_RETURN_IF_ERROR(LiveView(0, UINT64_MAX, {}, lists_loc).status());
+  return holder;
 }
 
-bool LsmIndex::MetadataReferences(const Locator& loc) const {
-  LockGuard lock(mu_);
-  for (const RunRef& run : runs_) {
-    if (run.loc == loc) {
-      return true;
-    }
+Result<Dependency> LsmIndex::UpdateReference(const ChunkHolder& holder, const Locator& old_loc,
+                                             const Locator& new_loc,
+                                             const Dependency& new_dep) {
+  if (holder.kind == kRunListHolder) {
+    return RelocateRunChunk(old_loc, new_loc, new_dep);
   }
-  return false;
+  return RelocateShardChunk(holder.id, old_loc, new_loc, new_dep);
 }
 
-Result<Dependency> LsmIndex::RelocateShardChunk(const Locator& old_loc, const Locator& new_loc,
+Result<Dependency> LsmIndex::RelocateShardChunk(ShardId owner, const Locator& old_loc,
+                                                const Locator& new_loc,
                                                 const Dependency& new_dep) {
-  SS_ASSIGN_OR_RETURN(std::optional<ShardId> owner, FindShardReferencing(old_loc));
-  if (!owner.has_value()) {
-    // The reference disappeared concurrently (overwrite/delete); nothing to update.
-    return Dependency();
-  }
-  // Fetch the current record and rewrite the locator.
-  SS_ASSIGN_OR_RETURN(std::optional<ShardRecord> record_opt, Get(*owner));
+  SS_ASSIGN_OR_RETURN(std::optional<ShardRecord> record_opt, Get(owner));
   if (!record_opt.has_value()) {
-    return Dependency();
+    return Dependency();  // deleted concurrently: nothing to update
   }
   ShardRecord record = std::move(*record_opt);
   bool replaced = false;
@@ -979,7 +855,7 @@ Result<Dependency> LsmIndex::RelocateShardChunk(const Locator& old_loc, const Lo
     }
   }
   if (!replaced) {
-    return Dependency();
+    return Dependency();  // overwritten concurrently: the old chunk is garbage now
   }
   Dependency promise = Dependency::MakePromise();
   {
@@ -989,7 +865,7 @@ Result<Dependency> LsmIndex::RelocateShardChunk(const Locator& old_loc, const Lo
     entry.data_dep = new_dep;
     entry.seq = next_seq_++;
     pending_promises_.push_back({entry.seq, promise});
-    memtable_[*owner] = std::move(entry);
+    memtable_[owner] = std::move(entry);
     internal_dirty_ = true;  // deliberately *not* api_dirty_ (see bug #3)
   }
   SS_COVER("lsm.relocate_shard_chunk");
@@ -1016,7 +892,7 @@ Result<Dependency> LsmIndex::RelocateRunChunk(const Locator& old_loc, const Loca
   return WriteMetadataLocked(new_dep);
 }
 
-Dependency LsmIndex::StateDurableGate() {
+Dependency LsmIndex::DropGate() {
   LockGuard lock(mu_);
   if (memtable_.empty()) {
     return last_meta_dep_;

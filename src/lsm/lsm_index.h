@@ -26,6 +26,10 @@
 // recovery" equivalent to "dependency reports persistent", the property the crash
 // checker enforces.
 //
+// The index is the chunk store's one ReclaimClient: reclamation asks it who holds each
+// chunk (the run list, or the shard whose live record lists it) and hands that answer
+// back when the chunk moves.
+//
 // Seeded bugs hosted here: #3 (shutdown skips the flush when only internal mutations —
 // e.g. reclamation relocations — are pending), #14 (flush/compaction write their run
 // chunk without pinning its extent) and #18 (partial merges drop tombstones above the
@@ -35,6 +39,7 @@
 #define SS_LSM_LSM_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -96,9 +101,9 @@ struct RunFilter {
   bool MayContainKey(ShardId id) const {
     return id >= min_key && id <= max_key && bloom.MayContain(id);
   }
-  // Whether the run's key range intersects the half-open scan window [start, end).
-  bool OverlapsRange(ShardId start, ShardId end) const {
-    return start < end && min_key < end && max_key >= start;
+  // Whether the run's key range intersects the inclusive window [first, last].
+  bool OverlapsRange(ShardId first, ShardId last) const {
+    return min_key <= last && max_key >= first;
   }
 };
 
@@ -108,7 +113,7 @@ struct LsmScanItem {
   ShardRecord record;
 };
 
-class LsmIndex {
+class LsmIndex : public ReclaimClient {
  public:
   // Opens over existing on-disk state (recovering the metadata record with the highest
   // version from the reserved metadata extents, then rebuilding each run's bloom
@@ -154,7 +159,8 @@ class LsmIndex {
   Result<std::vector<LsmScanItem>> Scan(ShardId start, ShardId end,
                                         const SpanScope& scope = {});
 
-  // All live shard ids (merged view of memtable and runs).
+  // All live shard ids in key order: the live view over the whole key space,
+  // UINT64_MAX included. Does not count as a scan in the lsm.scan* metrics.
   Result<std::vector<ShardId>> Keys();
 
   // --- Maintenance ------------------------------------------------------------------------
@@ -178,29 +184,35 @@ class LsmIndex {
   // True when a shutdown must still flush (bug #3 consults the wrong flag here).
   bool NeedsShutdownFlush() const;
 
-  // --- Reclamation support -----------------------------------------------------------------
-  // Which shard (if any) references `loc` in its record. Linear scan of the live view;
-  // reclamation is a background task and the paper's reverse lookup is also index-wide.
-  Result<std::optional<ShardId>> FindShardReferencing(const Locator& loc);
+  // --- Reclamation (ReclaimClient) -------------------------------------------------------
+  // A chunk's holder is the run list (kRunListHolder: the chunk is a run segment) or the
+  // shard whose live record lists it (kShardHolder, id = the shard). Finding a shard
+  // holder walks the live view, newest entries first; reclamation is a background task
+  // and the paper's reverse lookup is also index-wide.
+  static constexpr uint32_t kRunListHolder = 0;
+  static constexpr uint32_t kShardHolder = 1;
+  Result<std::optional<ChunkHolder>> FindHolder(const Locator& loc) override;
 
-  // Whether `loc` is one of the live run chunks.
-  bool MetadataReferences(const Locator& loc) const;
+  // RelocateRunChunk for the run list, RelocateShardChunk for a shard.
+  Result<Dependency> UpdateReference(const ChunkHolder& holder, const Locator& old_loc,
+                                     const Locator& new_loc,
+                                     const Dependency& new_dep) override;
 
-  // Rewrites the shard record containing `old_loc` to point at `new_loc` (no-op with a
-  // trivially-persistent result if the reference disappeared concurrently). The entry
-  // is gated on `new_dep`, the evacuated data's dependency.
-  Result<Dependency> RelocateShardChunk(const Locator& old_loc, const Locator& new_loc,
-                                        const Dependency& new_dep);
+  // Persists once the current in-memory index state (memtable included) is durable.
+  Dependency DropGate() override;
+
+  // Rewrites `owner`'s record to point at `new_loc` instead of `old_loc`: one point Get
+  // and a locator compare. No-op with a trivially-persistent result if the record no
+  // longer lists `old_loc` (a concurrent overwrite or delete). The entry is gated on
+  // `new_dep`, the evacuated data's dependency.
+  Result<Dependency> RelocateShardChunk(ShardId owner, const Locator& old_loc,
+                                        const Locator& new_loc, const Dependency& new_dep);
 
   // Replaces run chunk `old_loc` with `new_loc` in the run list (level and filter are
   // preserved — the evacuated copy has identical content) and persists a new metadata
   // record gated on `new_dep`. Returns that record's dependency.
   Result<Dependency> RelocateRunChunk(const Locator& old_loc, const Locator& new_loc,
                                       const Dependency& new_dep);
-
-  // Dependency that persists once the current in-memory index state (memtable included)
-  // is durable; see ReclaimClient::DropGate.
-  Dependency StateDurableGate();
 
   // --- Introspection -----------------------------------------------------------------------
   size_t MemtableEntries() const;
@@ -232,6 +244,21 @@ class LsmIndex {
     RunMap entries;
     std::shared_ptr<const RunFilter> filter;
   };
+  // A live run: its chunk locator, the dependency under which that chunk (or its most
+  // recent evacuated copy) becomes durable, its level, and the pruning filter decoded
+  // from its header (null = filter unavailable, read the chunk). Metadata records are
+  // gated on the conjunction of the deps, so a persisted metadata record never
+  // references a run chunk that is not itself durable.
+  struct RunRef {
+    Locator loc;
+    Dependency dep;
+    int level = 0;
+    std::shared_ptr<const RunFilter> filter;
+  };
+  // Installs freshly written runs and persists the metadata record. Called under mu_
+  // with the new runs and the conjunction of their write dependencies.
+  using RunCommit =
+      std::function<Status(std::vector<RunRef> fresh, const Dependency& runs_dep)>;
 
   LsmIndex(ExtentManager* extents, ChunkStore* chunks, LsmOptions options,
            MetricRegistry* metrics);
@@ -241,6 +268,28 @@ class LsmIndex {
   // Splits a run into segments that each fit one chunk (header included).
   static std::vector<RunMap> PartitionRun(const RunMap& entries, size_t max_payload);
   Result<LoadedRun> LoadRun(const Locator& loc, const SpanScope& scope = {});
+
+  // The live view of the inclusive key window [first, last], in key order: each key's
+  // newest entry across the memtable and every run, tombstones suppressed. The memtable
+  // and the run list are snapshotted under one mu_ hold, so a racing flush (which moves
+  // entries run-ward) cannot hide an entry from both copies. The walk goes newest
+  // source first and reads a run only when it gets there; runs whose key range misses
+  // the window are skipped without a chunk read. A run that fails to load (a
+  // concurrent compaction or reclamation invalidated the snapshot) triggers a fresh
+  // snapshot, up to four attempts. `stop`, when set, sees each live entry as the walk
+  // decides it and ends the walk by returning true; the view returned is then partial.
+  // A walk that ends this way never restarts, so `stop` may record its answer.
+  using LiveStop = std::function<bool(ShardId, const ShardRecord&)>;
+  Result<std::vector<LsmScanItem>> LiveView(ShardId first, ShardId last,
+                                            const SpanScope& scope,
+                                            const LiveStop& stop = nullptr);
+
+  // The one run writer behind flush and compaction: partitions `entries` into
+  // segments, writes each as a chunk gated on `input`, then runs `commit` under mu_
+  // with the new runs at `level`. Each chunk's extent stays pinned until the commit
+  // returns (seeded bug #14 unpins right after the write). Caller holds flush_mu_.
+  Status WriteRun(const RunMap& entries, const Dependency& input, int level,
+                  const SpanScope& scope, const RunCommit& commit);
 
   // Serializes and appends the metadata record (runs + counters). Caller holds mu_.
   // The record's write is gated on `input`.
@@ -267,18 +316,6 @@ class LsmIndex {
 
   mutable Mutex mu_{MutexAttr{"lsm.index", lockrank::kLsm}};      // memtable, runs, metadata state
   Mutex flush_mu_{MutexAttr{"lsm.flush", lockrank::kLsmFlush}};  // serializes Flush/Compact
-  // A live run: its chunk locator, the dependency under which that chunk (or its most
-  // recent evacuated copy) becomes durable, its level, and the pruning filter decoded
-  // from its header (null = filter unavailable, read the chunk). Metadata records are
-  // gated on the conjunction of the deps, so a persisted metadata record never
-  // references a run chunk that is not itself durable.
-  struct RunRef {
-    Locator loc;
-    Dependency dep;
-    int level = 0;
-    std::shared_ptr<const RunFilter> filter;
-  };
-
   std::map<ShardId, Entry> memtable_;
   std::vector<RunRef> runs_;  // oldest first; levels non-increasing along the vector
   uint64_t version_ = 0;

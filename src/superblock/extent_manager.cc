@@ -1,19 +1,18 @@
 #include "src/superblock/extent_manager.h"
 
 #include "src/common/cover.h"
-#include "src/common/retry_policy.h"
 #include "src/faults/faults.h"
 
 namespace ss {
 
 ExtentManager::ExtentManager(Disk* disk, IoScheduler* scheduler, uint32_t buffer_permits,
-                             IoRetryOptions retry, MetricRegistry* metrics)
+                             common::RetryOptions retry, MetricRegistry* metrics)
     : disk_(disk),
       scheduler_(scheduler),
       retry_(retry),
       buffer_pool_(buffer_permits),
       owned_metrics_(metrics == nullptr ? std::make_unique<MetricRegistry>() : nullptr),
-      health_(DiskHealthOptions{}, metrics == nullptr ? owned_metrics_.get() : metrics) {
+      health_(metrics == nullptr ? owned_metrics_.get() : metrics) {
   MetricRegistry* reg = owned_metrics_ != nullptr ? owned_metrics_.get() : metrics;
   metrics_ = reg;
   batch_soft_wp_updates_ = &reg->counter("extent.batch.soft_wp_updates");
@@ -23,9 +22,6 @@ ExtentManager::ExtentManager(Disk* disk, IoScheduler* scheduler, uint32_t buffer
   retry_exhausted_ = &reg->counter("extent.retry.exhausted");
   retry_permanent_ = &reg->counter("extent.retry.permanent_failures");
   retry_backoff_ticks_ = &reg->histogram("extent.retry.backoff_ticks");
-  if (retry_.max_attempts == 0) {
-    retry_.max_attempts = 1;
-  }
   const DiskGeometry& geo = disk_->geometry();
   extents_.resize(geo.extent_count);
   for (ExtentId e = 0; e < geo.extent_count; ++e) {
@@ -75,9 +71,7 @@ Status ExtentManager::CheckIo(ExtentId extent, bool is_write, const SpanScope& s
   // Attempt/backoff semantics live in the shared policy (the cluster tier's quorum
   // RPC retries run the same code); this layer contributes the per-attempt fault
   // consultation, health accounting, and metric increments.
-  const common::RetryPolicy policy(common::RetryOptions{
-      .max_attempts = retry_.max_attempts, .backoff_base_ticks = retry_.backoff_base_ticks});
-  const common::RetryPolicy::RunResult run = policy.Run(
+  const common::RetryPolicy::RunResult run = retry_.Run(
       [&](uint32_t) {
         const bool failed =
             is_write ? faults.ShouldFailWrite(extent) : faults.ShouldFailRead(extent);

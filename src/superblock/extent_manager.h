@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/retry_policy.h"
 #include "src/common/status.h"
 #include "src/dep/dependency.h"
 #include "src/dep/io_scheduler.h"
@@ -49,20 +50,6 @@ struct AppendResult {
   Dependency dep;
 };
 
-// Bounded-retry policy for transient IO faults. Backoff is driven by a *virtual*
-// clock — a monotonic tick counter the manager advances by the backoff amount instead
-// of sleeping — so harness runs stay deterministic and instantaneous while tests can
-// still assert that escalation paid the full exponential schedule. The attempt and
-// backoff semantics are implemented by the shared ss::common::RetryPolicy
-// (src/common/retry_policy.h) — the same engine the cluster tier uses for quorum RPC
-// retries — this struct just names the two knobs the extent layer exposes.
-struct IoRetryOptions {
-  // Total attempts per IO (1 initial + max_attempts-1 retries). 0 is treated as 1.
-  uint32_t max_attempts = 3;
-  // Virtual ticks charged before the first retry; doubles per subsequent retry.
-  uint64_t backoff_base_ticks = 1;
-};
-
 // The manager is the write path's TickSource: span latency is measured on its
 // virtual retry-backoff clock (see SpanTicksNow below).
 class ExtentManager : public TickSource {
@@ -78,7 +65,7 @@ class ExtentManager : public TickSource {
   // provided; otherwise the manager owns a private registry so direct construction
   // keeps working in tests.
   ExtentManager(Disk* disk, IoScheduler* scheduler,
-                uint32_t buffer_permits = kDefaultBufferPermits, IoRetryOptions retry = {},
+                uint32_t buffer_permits = kDefaultBufferPermits, common::RetryOptions retry = {},
                 MetricRegistry* metrics = nullptr);
 
   // --- Data path ----------------------------------------------------------------------
@@ -188,7 +175,11 @@ class ExtentManager : public TickSource {
 
   Disk* disk_;
   IoScheduler* scheduler_;
-  IoRetryOptions retry_;
+  // Bounded retry of transient IO faults. Backoff is charged to a *virtual* clock
+  // (a tick counter advanced by the backoff amount instead of sleeping), so harness
+  // runs stay deterministic and instantaneous while tests can still assert that
+  // escalation paid the full exponential schedule.
+  const common::RetryPolicy retry_;
   mutable Mutex mu_{MutexAttr{"extent.manager", lockrank::kExtent}};
   std::vector<ExtentState> extents_;
   uint32_t batch_depth_ = 0;  // guarded by mu_

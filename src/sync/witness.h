@@ -63,8 +63,8 @@ inline constexpr uint32_t kNode = 20;        // rpc.node           (routing dire
 inline constexpr uint32_t kStoreBatch = 30;  // kv.store.batch     (ApplyBatch staging window)
 inline constexpr uint32_t kLsmFlush = 40;    // lsm.flush          (one flush/compact at a time)
 // Reclamation is an *outer* lock relative to the index: ChunkStore::Reclaim holds it
-// across the ReclaimClient callbacks (IsReferenced / UpdateReference), which take
-// lsm.index.
+// across its reclaim client's FindHolder / UpdateReference, and that client is the
+// LsmIndex, whose calls take lsm.index.
 inline constexpr uint32_t kChunkReclaim = 42;  // chunk.reclaim    (one reclamation at a time)
 inline constexpr uint32_t kLsm = 45;         // lsm.index          (memtable / runs / metadata)
 inline constexpr uint32_t kChunk = 55;       // chunk.store        (allocator / pin set)

@@ -81,7 +81,7 @@ TEST_F(BufferCacheTest, ReadErrorIsNotCached) {
   AppendPages(1, 0x77);
   // Burst past the extent layer's retry budget so the error surfaces to the cache.
   ScopedFault guard(disk_.fault_injector());
-  disk_.fault_injector().FailReadTimes(extent_, IoRetryOptions{}.max_attempts);
+  disk_.fault_injector().FailReadTimes(extent_, common::RetryOptions{}.max_attempts);
   EXPECT_EQ(cache_.ReadPages(extent_, 0, 1).code(), StatusCode::kIoError);
   EXPECT_EQ(cache_.CachedPages(), 0u);
   EXPECT_EQ(cache_.ReadPages(extent_, 0, 1).value()[0], 0x77);

@@ -107,8 +107,14 @@ class MapReclaimClient : public ReclaimClient {
  public:
   std::map<Locator, Bytes> refs;
 
-  Result<bool> IsReferenced(const Locator& loc) override { return refs.count(loc) != 0; }
-  Result<Dependency> UpdateReference(const Locator& old_loc, const Locator& new_loc,
+  Result<std::optional<ChunkHolder>> FindHolder(const Locator& loc) override {
+    if (refs.count(loc) == 0) {
+      return std::optional<ChunkHolder>(std::nullopt);
+    }
+    return std::optional<ChunkHolder>(ChunkHolder{});
+  }
+  Result<Dependency> UpdateReference(const ChunkHolder& holder, const Locator& old_loc,
+                                     const Locator& new_loc,
                                      const Dependency& new_dep) override {
     auto node = refs.extract(old_loc);
     node.key() = new_loc;
@@ -226,7 +232,7 @@ TEST_F(ChunkStoreTest, ReclaimAbortsOnReadError) {
   const Locator live = PutAndUnpin(BytesOf("live"));
   client.refs[live] = BytesOf("live");
   ScopedFault guard(disk_.fault_injector());
-  disk_.fault_injector().FailReadTimes(live.extent, IoRetryOptions{}.max_attempts);
+  disk_.fault_injector().FailReadTimes(live.extent, common::RetryOptions{}.max_attempts);
   EXPECT_EQ(chunks_.Reclaim(live.extent, &client).code(), StatusCode::kIoError);
   // The chunk survived the aborted reclaim.
   EXPECT_EQ(chunks_.Get(live).value(), BytesOf("live"));
@@ -238,7 +244,7 @@ TEST_F(ChunkStoreTest, Bug5DropsChunkOnReadError) {
   const Locator live = PutAndUnpin(BytesOf("live"));
   client.refs[live] = BytesOf("live");
   ScopedFault guard(disk_.fault_injector());
-  disk_.fault_injector().FailReadTimes(live.extent, IoRetryOptions{}.max_attempts);
+  disk_.fault_injector().FailReadTimes(live.extent, common::RetryOptions{}.max_attempts);
   ASSERT_TRUE(chunks_.Reclaim(live.extent, &client).ok());  // "succeeds", wrongly
   // The chunk was forgotten: reference unchanged but the extent was reset.
   EXPECT_EQ(client.refs.begin()->first, live);

@@ -113,6 +113,14 @@ TEST(RoutingCommitClobber, FixedCommitSurvivesTheSameBudget) {
   EXPECT_TRUE(result.ok) << result.error;
 }
 
+// Regression for List() snapshotting the runs and the memtable under two separate
+// holds: a flush landing between them hid a shard that was live throughout.
+TEST(ConcurrencyBaseline, ListFlushPasses) {
+  FaultRegistry::Global().DisableAll();
+  McResult result = McExplore(MakeListFlushBody(), Pct(3000, 1));
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
 TEST(ConcurrencyBaseline, RandomWalkAlsoPasses) {
   FaultRegistry::Global().DisableAll();
   EXPECT_TRUE(McExplore(MakeFig4IndexBody(), RandomWalk(150)).ok);

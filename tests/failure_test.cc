@@ -164,7 +164,7 @@ TEST_F(DiskFailureDomainTest, ExhaustedRetryBudgetCountsExactlyInMetrics) {
   ScopedFault guard(node_->disk(0).fault_injector());
   node_->store(0)->cache().Clear();
   for (ExtentId e = 1; e < 16; ++e) {
-    // The extent layer makes 3 attempts per IO (default IoRetryOptions) and the
+    // The extent layer makes 3 attempts per IO (default common::RetryOptions) and the
     // store layer retries the whole read 4 times against reclamation races: 12 armed
     // failures outlast both budgets.
     node_->disk(0).fault_injector().FailReadTimes(e, 12);

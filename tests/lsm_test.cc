@@ -173,24 +173,37 @@ TEST_F(LsmTest, MetadataPingPongAcrossExtents) {
   EXPECT_EQ(index_->Keys().value().size(), 4u);
 }
 
-TEST_F(LsmTest, FindShardReferencingChecksLiveView) {
-  ShardRecord record = MakeRecord(5);
-  const Locator target = record.chunks[0];
-  index_->Put(9, record, Dependency());
-  EXPECT_EQ(index_->FindShardReferencing(target).value(), std::optional<ShardId>(9));
+TEST_F(LsmTest, KeysSpansTheWholeKeySpaceWithoutCountingAScan) {
+  index_->Put(UINT64_MAX, MakeRecord(1), Dependency());
+  index_->Put(0, MakeRecord(2), Dependency());
   ASSERT_TRUE(index_->Flush().ok());
-  EXPECT_EQ(index_->FindShardReferencing(target).value(), std::optional<ShardId>(9));
-  index_->Delete(9);
-  EXPECT_EQ(index_->FindShardReferencing(target).value(), std::nullopt);
+  index_->Put(7, MakeRecord(3), Dependency());
+  EXPECT_EQ(index_->Keys().value(), (std::vector<ShardId>{0, 7, UINT64_MAX}));
+  MetricsSnapshot snap = index_->metrics().Snapshot();
+  EXPECT_EQ(snap.counter("lsm.scans"), 0u);
+  EXPECT_EQ(snap.counter("lsm.scan.items"), 0u);
 }
 
-TEST_F(LsmTest, MetadataReferencesRunChunks) {
+TEST_F(LsmTest, FindHolderChecksLiveView) {
+  ShardRecord record = MakeRecord(5);
+  const Locator target = record.chunks[0];
+  const std::optional<ChunkHolder> shard9 = ChunkHolder{LsmIndex::kShardHolder, 9};
+  index_->Put(9, record, Dependency());
+  EXPECT_EQ(index_->FindHolder(target).value(), shard9);
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(index_->FindHolder(target).value(), shard9);
+  index_->Delete(9);
+  EXPECT_EQ(index_->FindHolder(target).value(), std::nullopt);
+}
+
+TEST_F(LsmTest, FindHolderNamesRunListForRunChunks) {
   index_->Put(1, MakeRecord(1), Dependency());
   ASSERT_TRUE(index_->Flush().ok());
   auto runs = index_->RunLocators();
   ASSERT_EQ(runs.size(), 1u);
-  EXPECT_TRUE(index_->MetadataReferences(runs[0]));
-  EXPECT_FALSE(index_->MetadataReferences(Locator{1, 2, 3, 4}));
+  EXPECT_EQ(index_->FindHolder(runs[0]).value(),
+            std::optional(ChunkHolder{LsmIndex::kRunListHolder, 0}));
+  EXPECT_EQ(index_->FindHolder(Locator{1, 2, 3, 4}).value(), std::nullopt);
 }
 
 TEST_F(LsmTest, RelocateShardChunkRewritesRecord) {
@@ -198,7 +211,7 @@ TEST_F(LsmTest, RelocateShardChunkRewritesRecord) {
   const Locator old_loc = record.chunks[0];
   const Locator new_loc{70000, 1, 1, 64};
   index_->Put(9, record, Dependency());
-  Dependency dep = index_->RelocateShardChunk(old_loc, new_loc, Dependency()).value();
+  Dependency dep = index_->RelocateShardChunk(9, old_loc, new_loc, Dependency()).value();
   auto got = index_->Get(9).value();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->chunks[0], new_loc);
@@ -210,9 +223,9 @@ TEST_F(LsmTest, RelocateShardChunkRewritesRecord) {
 }
 
 TEST_F(LsmTest, RelocateShardChunkNoOpWhenUnreferenced) {
-  Dependency dep = index_->RelocateShardChunk(Locator{1, 1, 1, 64}, Locator{2, 2, 1, 64},
-                                              Dependency())
-                       .value();
+  Dependency dep =
+      index_->RelocateShardChunk(9, Locator{1, 1, 1, 64}, Locator{2, 2, 1, 64}, Dependency())
+          .value();
   EXPECT_TRUE(dep.IsPersistent());  // trivially persistent no-op
 }
 
@@ -223,27 +236,26 @@ TEST_F(LsmTest, RelocateRunChunkRewritesRunListAndPersists) {
   const Locator new_run{60000, 0, 1, 64};
   const uint64_t version = index_->MetadataVersion();
   Dependency dep = index_->RelocateRunChunk(old_run, new_run, Dependency()).value();
-  EXPECT_TRUE(index_->MetadataReferences(new_run));
-  EXPECT_FALSE(index_->MetadataReferences(old_run));
+  EXPECT_EQ(index_->RunLocators(), std::vector<Locator>{new_run});
   EXPECT_EQ(index_->MetadataVersion(), version + 1);
   ASSERT_TRUE(scheduler_->FlushAll().ok());
   EXPECT_TRUE(dep.IsPersistent());
 }
 
-TEST_F(LsmTest, StateDurableGateResolvesWithFlush) {
+TEST_F(LsmTest, DropGateResolvesWithFlush) {
   index_->Put(1, MakeRecord(1), Dependency());
-  Dependency gate = index_->StateDurableGate();
+  Dependency gate = index_->DropGate();
   EXPECT_FALSE(gate.IsPersistent());
   ASSERT_TRUE(index_->Flush().ok());
   ASSERT_TRUE(scheduler_->FlushAll().ok());
   EXPECT_TRUE(gate.IsPersistent());
 }
 
-TEST_F(LsmTest, StateDurableGateOnCleanIndexFollowsMetadata) {
+TEST_F(LsmTest, DropGateOnCleanIndexFollowsMetadata) {
   index_->Put(1, MakeRecord(1), Dependency());
   ASSERT_TRUE(index_->Flush().ok());
   ASSERT_TRUE(scheduler_->FlushAll().ok());
-  EXPECT_TRUE(index_->StateDurableGate().IsPersistent());
+  EXPECT_TRUE(index_->DropGate().IsPersistent());
 }
 
 TEST_F(LsmTest, NeedsShutdownFlushTracksInternalMutations) {
@@ -254,7 +266,8 @@ TEST_F(LsmTest, NeedsShutdownFlushTracksInternalMutations) {
   ASSERT_TRUE(index_->Flush().ok());
   EXPECT_FALSE(index_->NeedsShutdownFlush());
   // A relocation is an internal mutation: the shutdown path must still flush.
-  ASSERT_TRUE(index_->RelocateShardChunk(old_loc, Locator{70000, 1, 1, 64}, Dependency()).ok());
+  ASSERT_TRUE(
+      index_->RelocateShardChunk(9, old_loc, Locator{70000, 1, 1, 64}, Dependency()).ok());
   EXPECT_TRUE(index_->NeedsShutdownFlush());
   {
     // Seeded bug #3 consults only the API flag and skips it.

@@ -187,7 +187,7 @@ TEST_F(ExtentManagerTest, InjectedWriteFailureSurfacesSynchronously) {
   const ExtentId e = Claim();
   // A burst longer than the retry budget must surface to the caller.
   ScopedFault guard(disk_.fault_injector());
-  disk_.fault_injector().FailWriteTimes(e, IoRetryOptions{}.max_attempts);
+  disk_.fault_injector().FailWriteTimes(e, common::RetryOptions{}.max_attempts);
   EXPECT_EQ(extents_.Append(e, BytesOf("x"), Dependency()).code(), StatusCode::kIoError);
   // Nothing staged: the write pointer did not move.
   EXPECT_EQ(extents_.WritePointer(e), 0u);
@@ -200,7 +200,7 @@ TEST_F(ExtentManagerTest, InjectedReadFailureSurfaces) {
   const ExtentId e = Claim();
   ASSERT_TRUE(extents_.Append(e, BytesOf("x"), Dependency()).ok());
   ScopedFault guard(disk_.fault_injector());
-  disk_.fault_injector().FailReadTimes(e, IoRetryOptions{}.max_attempts);
+  disk_.fault_injector().FailReadTimes(e, common::RetryOptions{}.max_attempts);
   EXPECT_EQ(extents_.Read(e, 0, 1).code(), StatusCode::kIoError);
   EXPECT_TRUE(extents_.Read(e, 0, 1).ok());
 }
@@ -235,18 +235,17 @@ TEST_F(ExtentManagerTest, PermanentFaultShortCircuitsAsDiskFailed) {
 
 TEST_F(ExtentManagerTest, RepeatedBurstsDegradeThenFailHealth) {
   ExtentManager em(&disk_, &scheduler_, ExtentManager::kDefaultBufferPermits,
-                   IoRetryOptions{.max_attempts = 2, .backoff_base_ticks = 1});
+                   common::RetryOptions{.max_attempts = 2, .backoff_base_ticks = 1});
   const ExtentId e = em.ClaimExtent(ExtentOwner::kChunkData).value();
   ASSERT_TRUE(em.Append(e, BytesOf("x"), Dependency()).ok());
   ScopedFault guard(disk_.fault_injector());
-  const DiskHealthOptions budget;  // default thresholds
   // Each surfaced burst burns `max_attempts` transient errors from the window.
   while (em.health().health() == DiskHealth::kHealthy) {
     disk_.fault_injector().FailReadTimes(e, 2);
     EXPECT_EQ(em.Read(e, 0, 1).code(), StatusCode::kIoError);
   }
   EXPECT_EQ(em.health().health(), DiskHealth::kDegraded);
-  EXPECT_GE(em.health().windowed_errors(), budget.degrade_after);
+  EXPECT_GE(em.health().windowed_errors(), DiskHealthTracker::kDegradeAfter);
   while (em.health().health() == DiskHealth::kDegraded) {
     disk_.fault_injector().FailReadTimes(e, 2);
     EXPECT_EQ(em.Read(e, 0, 1).code(), StatusCode::kIoError);
