@@ -208,8 +208,8 @@ std::unique_ptr<NodeServer> MakeBenchNode() {
   NodeServerOptions options;
   options.disk_count = 2;
   options.geometry = BenchGeometry();
-  // Low enough that a 16-item batch crosses it on each disk: ApplyBatch performs its
-  // own group flush, so store.batch.flushes shows up in the batch run's counters.
+  // Low enough that a 16-item batch crosses it on each disk: the group commit flushes
+  // once for the group, so store.batch.flushes shows up in the batch run's counters.
   options.store.lsm.memtable_flush_entries = 8;
   return std::move(NodeServer::Create(options).value());
 }

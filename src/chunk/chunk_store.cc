@@ -51,7 +51,8 @@ Result<ExtentId> ChunkStore::PickTargetLocked(uint32_t pages_needed,
 
 Result<ChunkPutResult> ChunkStore::PutInternal(ByteSpan data, Dependency input,
                                                std::optional<ExtentId> exclude,
-                                               const SpanScope& scope) {
+                                               const SpanScope& scope,
+                                               const ExtentManager::WriteBatch* batch) {
   Span span = scope.Child("chunk.write");
   const SpanScope child_scope = span.scope();
   if (data.size() > options_.max_payload_bytes) {
@@ -80,7 +81,7 @@ Result<ChunkPutResult> ChunkStore::PutInternal(ByteSpan data, Dependency input,
       stale_wp = extents_->WritePointer(target);
     }
     YieldThread();
-    auto appended_or = extents_->Append(target, frame, input, child_scope);
+    auto appended_or = extents_->Append(target, frame, input, child_scope, batch);
     if (!appended_or.ok()) {
       Unpin(target);
       span.set_status(appended_or.code());
@@ -96,7 +97,7 @@ Result<ChunkPutResult> ChunkStore::PutInternal(ByteSpan data, Dependency input,
   LockGuard lock(mu_);
   SS_ASSIGN_OR_RETURN(ExtentId target, PickTargetLocked(pages_needed, exclude));
   ++pin_counts_[target];
-  auto appended_or = extents_->Append(target, frame, input, child_scope);
+  auto appended_or = extents_->Append(target, frame, input, child_scope, batch);
   if (!appended_or.ok()) {
     if (--pin_counts_[target] == 0) {
       pin_counts_.erase(target);
@@ -118,8 +119,9 @@ Result<ChunkPutResult> ChunkStore::PutInternal(ByteSpan data, Dependency input,
 }
 
 Result<ChunkPutResult> ChunkStore::Put(ByteSpan data, Dependency input,
-                                       const SpanScope& scope) {
-  return PutInternal(data, input, std::nullopt, scope);
+                                       const SpanScope& scope,
+                                       const ExtentManager::WriteBatch* batch) {
+  return PutInternal(data, input, std::nullopt, scope, batch);
 }
 
 void ChunkStore::Unpin(ExtentId extent) {

@@ -96,8 +96,10 @@ class ChunkStore {
   // it would otherwise judge unreferenced and destroy — the race behind the paper's
   // issue #14, whose seeded variant unpins before the metadata update.
   // `scope`, when active, receives a "chunk.write" child span (with extent.append /
-  // io.submit descendants).
-  Result<ChunkPutResult> Put(ByteSpan data, Dependency input, const SpanScope& scope = {});
+  // io.submit descendants). With `batch`, the append joins that open extent write
+  // batch (see ExtentManager::WriteBatch).
+  Result<ChunkPutResult> Put(ByteSpan data, Dependency input, const SpanScope& scope = {},
+                             const ExtentManager::WriteBatch* batch = nullptr);
   void Unpin(ExtentId extent);
 
   // Reads and validates the chunk at `loc`. `scope`, when active, receives a
@@ -133,7 +135,8 @@ class ChunkStore {
 
   Result<ChunkPutResult> PutInternal(ByteSpan data, Dependency input,
                                      std::optional<ExtentId> exclude,
-                                     const SpanScope& scope = {});
+                                     const SpanScope& scope = {},
+                                     const ExtentManager::WriteBatch* batch = nullptr);
 
   ExtentManager* extents_;
   BufferCache* cache_;

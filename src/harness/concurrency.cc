@@ -22,10 +22,10 @@ DiskGeometry SmallGeometry() {
   return DiskGeometry{.extent_count = 12, .pages_per_extent = 8, .page_size = 256};
 }
 
-}  // namespace
-
-std::function<void()> MakeFig4IndexBody() {
-  return [] {
+// The Figure 4 body. With `batched`, the foreground overwrite is one two-item
+// ApplyBatch instead of two Puts.
+std::function<void()> MakeFig4Body(bool batched) {
+  return [batched] {
     std::shared_ptr<Disk> disk = std::make_shared<InMemoryDisk>(SmallGeometry());
     ShardStoreOptions options;
     options.chunk.max_payload_bytes = 400;
@@ -65,9 +65,18 @@ std::function<void()> MakeFig4IndexBody() {
     });
 
     // Foreground: overwrite keys and check the new value sticks (read-after-write).
+    auto overwrite = [](ShardId k) { return PatternValue(static_cast<uint8_t>(0x40 + k), 180); };
+    if (batched) {
+      StoreBatchResult result = store->ApplyBatch({{0, overwrite(0)}, {2, overwrite(2)}});
+      for (const StoreBatchItemResult& item : result.items) {
+        MC_CHECK(item.status.ok(), "overwrite batch item failed: " + item.status.ToString());
+      }
+    }
     for (ShardId k : {ShardId{0}, ShardId{2}}) {
-      Bytes value = PatternValue(static_cast<uint8_t>(0x40 + k), 180);
-      MC_CHECK(store->Put(k, value).ok(), "overwrite put");
+      Bytes value = overwrite(k);
+      if (!batched) {
+        MC_CHECK(store->Put(k, value).ok(), "overwrite put");
+      }
       auto got = store->Get(k);
       MC_CHECK(got.ok(), "read-after-write get failed: " + got.status().ToString());
       MC_CHECK(got.value() == value, "read-after-write returned stale/wrong data");
@@ -87,6 +96,12 @@ std::function<void()> MakeFig4IndexBody() {
     MC_CHECK(deleted.code() == StatusCode::kNotFound, "deleted shard resurrected");
   };
 }
+
+}  // namespace
+
+std::function<void()> MakeFig4IndexBody() { return MakeFig4Body(/*batched=*/false); }
+
+std::function<void()> MakeBatchMaintenanceBody() { return MakeFig4Body(/*batched=*/true); }
 
 std::function<void()> MakeFlushReclaimBody() {
   return [] {

@@ -18,6 +18,11 @@ namespace ss {
 // locator race (#11) and the compaction/reclamation metadata race (#14).
 std::function<void()> MakeFig4IndexBody();
 
+// The Figure 4 body with a two-item ApplyBatch as its foreground overwrite: a group
+// commit ∥ reclamation ∥ compaction. Regression for maintenance appends that joined an
+// open write batch's deferred soft-pointer update and stalled the final FlushAll.
+std::function<void()> MakeBatchMaintenanceBody();
+
 // Narrow variant of the Figure 4 scenario focused on the index-flush/reclamation
 // window (#14): one thread flushes the memtable into a new run chunk while another
 // sweeps reclamation over the data extents. Small enough for exhaustive-ish search.

@@ -33,95 +33,56 @@ Result<std::unique_ptr<ShardStore>> ShardStore::Open(Disk* disk,
   return store;
 }
 
-Result<Dependency> ShardStore::Put(ShardId id, ByteSpan value, const SpanScope& scope) {
-  Span span = scope.Child("store.put");
-  const SpanScope child_scope = span.scope();
-  puts_->Increment();
-  const size_t max_payload = chunks_->max_payload_bytes();
-  if (value.size() > max_payload * options_.max_chunks_per_shard) {
-    span.set_status(StatusCode::kInvalidArgument);
-    return Status::InvalidArgument("shard value too large");
-  }
-  ShardRecord record;
-  record.total_bytes = value.size();
-  std::vector<Dependency> data_deps;
-  for (size_t off = 0; off < value.size(); off += max_payload) {
-    const size_t len = std::min(max_payload, value.size() - off);
-    auto chunk_or = chunks_->Put(value.subspan(off, len), Dependency(), child_scope);
-    if (!chunk_or.ok()) {
-      // Unpin the chunks already written; they are unreferenced garbage now and will
-      // be reclaimed.
-      for (const Locator& loc : record.chunks) {
-        chunks_->Unpin(loc.extent);
-      }
-      span.set_status(chunk_or.code());
-      return chunk_or.status();
-    }
-    record.chunks.push_back(chunk_or.value().locator);
-    data_deps.push_back(chunk_or.value().dep);
-  }
-  std::vector<Locator> pinned = record.chunks;
-  // A put is durable once the shard data and the index entry pointing at it are
-  // (Figure 2): the index promise already implies the data, but we AND explicitly to
-  // mirror the paper's dependency graph shape.
-  Dependency data = Dependency::AndAll(data_deps);
-  Dependency dep = index_->Put(id, std::move(record), data, child_scope).And(data);
-  // The index now references the chunks; release their reclamation pins.
-  for (const Locator& loc : pinned) {
-    chunks_->Unpin(loc.extent);
-  }
-  return dep;
-}
-
-StoreBatchResult ShardStore::ApplyBatch(const std::vector<StoreBatchItem>& items,
-                                        const SpanScope& scope) {
+StoreBatchResult ShardStore::Write(const std::vector<StoreWrite>& writes,
+                                   const SpanScope& scope) {
   StoreBatchResult result;
-  result.items.resize(items.size());
-  if (items.empty()) {
+  result.items.resize(writes.size());
+  if (writes.empty()) {
     return result;
   }
-  Span span = scope.Child("store.apply_batch");
+  const bool group = writes.size() > 1;
+  Span span = scope.Child(group                       ? "store.apply_batch"
+                          : writes[0].value.has_value() ? "store.put"
+                                                        : "store.delete");
   const SpanScope child_scope = span.scope();
-  LockGuard batch_lock(batch_mu_);
-  batch_applies_->Increment();
-  batch_items_->Increment(items.size());
+  std::optional<LockGuard> batch_lock;
+  std::optional<ExtentManager::WriteBatch> batch;
+  if (group) {
+    batch_lock.emplace(batch_mu_);
+    batch_applies_->Increment();
+    batch_items_->Increment(writes.size());
+    batch = extents_->BeginWriteBatch();
+  }
+  const ExtentManager::WriteBatch* batch_ptr = batch.has_value() ? &*batch : nullptr;
   const size_t max_payload = chunks_->max_payload_bytes();
 
-  // Stage every item's chunk writes inside one write-batch scope: appends to the same
-  // extent coalesce into multi-page IO units and share one deferred soft-pointer
-  // update. Items fail independently — a failed item's partial chunks are unpinned
-  // (unreferenced garbage, reclaimed later) and the rest of the batch proceeds.
-  struct Staged {
-    size_t index = 0;
-    LsmBatchItem lsm;
-    std::vector<Locator> pinned;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(items.size());
-  extents_->BeginWriteBatch();
-  for (size_t i = 0; i < items.size(); ++i) {
-    const StoreBatchItem& item = items[i];
-    Staged s;
-    s.index = i;
-    s.lsm.id = item.id;
-    if (!item.value.has_value()) {
+  // Stage every put's chunk writes (through the batch, for a group). Items fail
+  // independently: a failed item's partial chunks are unpinned (unreferenced garbage,
+  // reclaimed later) and the rest proceed.
+  std::vector<size_t> staged;  // positions of the items that reach the index
+  std::vector<LsmBatchItem> inserts;
+  std::vector<ExtentId> pinned;  // the staged chunks' extents
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const StoreWrite& write = writes[i];
+    if (!write.value.has_value()) {
       deletes_->Increment();
-      staged.push_back(std::move(s));
+      staged.push_back(i);
+      inserts.push_back({write.id, std::nullopt, Dependency()});
       continue;
     }
     puts_->Increment();
-    if (item.value->size() > max_payload * options_.max_chunks_per_shard) {
+    const ByteSpan value = *write.value;
+    if (value.size() > max_payload * options_.max_chunks_per_shard) {
       result.items[i].status = Status::InvalidArgument("shard value too large");
       continue;
     }
     ShardRecord record;
-    record.total_bytes = item.value->size();
+    record.total_bytes = value.size();
     std::vector<Dependency> data_deps;
     Status status = Status::Ok();
-    ByteSpan value(*item.value);
     for (size_t off = 0; off < value.size(); off += max_payload) {
       const size_t len = std::min(max_payload, value.size() - off);
-      auto chunk_or = chunks_->Put(value.subspan(off, len), Dependency(), child_scope);
+      auto chunk_or = chunks_->Put(value.subspan(off, len), Dependency(), child_scope, batch_ptr);
       if (!chunk_or.ok()) {
         status = chunk_or.status();
         break;
@@ -136,42 +97,68 @@ StoreBatchResult ShardStore::ApplyBatch(const std::vector<StoreBatchItem>& items
       result.items[i].status = status;
       continue;
     }
-    s.pinned = record.chunks;
-    s.lsm.data_dep = Dependency::AndAll(data_deps);
-    s.lsm.record = std::move(record);
-    staged.push_back(std::move(s));
+    for (const Locator& loc : record.chunks) {
+      pinned.push_back(loc.extent);
+    }
+    staged.push_back(i);
+    inserts.push_back({write.id, std::move(record), Dependency::AndAll(data_deps)});
   }
 
-  // Commit: one LSM batch insert — all items land in the same memtable generation and
-  // resolve at one shared metadata barrier. The extent batch scope must close before
-  // any flush so the deferred soft-pointer promises are resolved by the time the
-  // metadata append depends on them.
-  std::vector<LsmBatchItem> lsm_items;
-  lsm_items.reserve(staged.size());
-  for (Staged& s : staged) {
-    lsm_items.push_back(std::move(s.lsm));
+  // Close the batch before the insert: the insert may flush, and a flush must not
+  // snapshot an entry whose soft-pointer promise is still open.
+  if (batch.has_value()) {
+    extents_->EndWriteBatch(*batch);
   }
-  bool flush_wanted = false;
-  std::vector<Dependency> deps =
-      index_->ApplyBatch(std::move(lsm_items), &flush_wanted, child_scope);
-  extents_->EndWriteBatch();
-  std::vector<Dependency> ok_deps;
+  LsmInsertResult inserted = index_->Insert(std::move(inserts), child_scope);
+  // The index now references the chunks; release their reclamation pins.
+  for (ExtentId extent : pinned) {
+    chunks_->Unpin(extent);
+  }
+  if (group && inserted.flushed) {
+    batch_flushes_->Increment();
+  }
   for (size_t k = 0; k < staged.size(); ++k) {
-    // Mirror Put: AND the item's data dependency explicitly (the promise implies it).
-    Dependency dep = deps[k];
-    result.items[staged[k].index].dep = dep;
-    ok_deps.push_back(std::move(dep));
-    for (const Locator& loc : staged[k].pinned) {
-      chunks_->Unpin(loc.extent);
+    result.items[staged[k]].dep = inserted.deps[k];
+  }
+  result.dep = Dependency::AndAll(inserted.deps);
+  for (const StoreBatchItemResult& item : result.items) {
+    if (!item.status.ok()) {
+      span.set_status(item.status.code());
+      break;
     }
   }
-  result.dep = Dependency::AndAll(ok_deps);
-  if (flush_wanted) {
-    batch_flushes_->Increment();
-    // Best-effort group flush, as in Put; errors surface on the next explicit flush.
-    (void)index_->Flush(child_scope);
-  }
   return result;
+}
+
+namespace {
+
+Result<Dependency> OnlyItem(StoreBatchResult result) {
+  StoreBatchItemResult& item = result.items[0];
+  if (!item.status.ok()) {
+    return item.status;
+  }
+  return std::move(item.dep);
+}
+
+}  // namespace
+
+Result<Dependency> ShardStore::Put(ShardId id, ByteSpan value, const SpanScope& scope) {
+  return OnlyItem(Write({{id, value}}, scope));
+}
+
+Result<Dependency> ShardStore::Delete(ShardId id, const SpanScope& scope) {
+  return OnlyItem(Write({{id, std::nullopt}}, scope));
+}
+
+StoreBatchResult ShardStore::ApplyBatch(const std::vector<StoreBatchItem>& items,
+                                        const SpanScope& scope) {
+  std::vector<StoreWrite> writes;
+  writes.reserve(items.size());
+  for (const StoreBatchItem& item : items) {
+    writes.push_back({item.id, item.value.has_value() ? std::optional<ByteSpan>(*item.value)
+                                                      : std::nullopt});
+  }
+  return Write(writes, scope);
 }
 
 Result<Bytes> ShardStore::Get(ShardId id, const SpanScope& scope) {
@@ -277,14 +264,6 @@ Result<std::vector<ScanItem>> ShardStore::Scan(ShardId start, ShardId end,
   SS_COVER("shard_store.scan_retry_exhausted");
   span.set_status(last_error.code());
   return last_error;
-}
-
-Result<Dependency> ShardStore::Delete(ShardId id, const SpanScope& scope) {
-  Span span = scope.Child("store.delete");
-  deletes_->Increment();
-  // Tombstone regardless of current existence: deleting a missing shard is a no-op
-  // with a dependency that persists with the next metadata flush.
-  return index_->Delete(id, span.scope());
 }
 
 Result<std::vector<ShardId>> ShardStore::List() { return index_->Keys(); }

@@ -47,13 +47,20 @@ struct ScanItem {
   Bytes value;
 };
 
-// One mutation of a write batch: a put (value set) or a delete (value empty).
+// One mutation of a write: a put (value set) or a delete (value empty). The value is
+// borrowed; it must outlive the Write call.
+struct StoreWrite {
+  ShardId id = 0;
+  std::optional<ByteSpan> value;  // nullopt = delete
+};
+
+// The owning form of StoreWrite, for batches built from temporaries (ApplyBatch).
 struct StoreBatchItem {
   ShardId id = 0;
   std::optional<Bytes> value;  // nullopt = delete
 };
 
-// Per-item outcome of ApplyBatch. `dep` is trivially persistent for failed items.
+// Per-item outcome of a write. `dep` is trivially persistent for failed items.
 struct StoreBatchItemResult {
   Status status;
   Dependency dep;
@@ -77,26 +84,35 @@ class ShardStore {
   // io.*, cache.*) under the caller's root span. The default inactive scope makes
   // tracing cost one branch.
   //
-  // Stores `value` under `id`. Returns the operation's dependency: poll IsPersistent()
-  // to learn when the put is durable (data chunks + index entry + soft pointers).
+  // The one write routine: a group commit of `writes`. Each put's value is split into
+  // chunks and staged; then every staged item enters the index in one LsmIndex::Insert,
+  // behind one shared durability promise, so the whole group costs one metadata barrier
+  // instead of one per item. A put is durable once its data chunks, its index entry and
+  // the soft pointers covering the chunks are (Figure 2): poll the item's dependency.
+  // Items fail independently (per-item Status; a failed put's chunks are unreferenced
+  // garbage); the result's dependency is the join of the successful items. Crash
+  // semantics: never a torn value or an index entry without its chunks, and since the
+  // items share one barrier a crash persists none or all of those that reached the index.
+  //
+  // Two or more items stage inside one extent write batch: their appends share one
+  // soft-pointer update per extent and coalesce into multi-page IO units, under
+  // batch_mu_ (store.batch.* counts these group commits). A single item has no pointer
+  // update to share, so it opens no batch and takes no batch lock: its IO and locks are
+  // those of the plain per-page path. The span is "store.put" or "store.delete" for a
+  // single item and "store.apply_batch" for a group.
+  StoreBatchResult Write(const std::vector<StoreWrite>& writes, const SpanScope& scope = {});
+
+  // One-item writes. Put stores `value` under `id`; Delete writes a tombstone (deleting
+  // a missing shard is a no-op whose dependency persists with the next metadata flush).
   Result<Dependency> Put(ShardId id, ByteSpan value, const SpanScope& scope = {});
+  Result<Dependency> Delete(ShardId id, const SpanScope& scope = {});
+
+  // Write over owned values.
+  StoreBatchResult ApplyBatch(const std::vector<StoreBatchItem>& items,
+                              const SpanScope& scope = {});
 
   // Reads the current value. kNotFound if the shard does not exist.
   Result<Bytes> Get(ShardId id, const SpanScope& scope = {});
-
-  // Removes the shard (tombstone). Returns the delete's dependency.
-  Result<Dependency> Delete(ShardId id, const SpanScope& scope = {});
-
-  // Group commit: stages every item's chunk writes inside one extent write-batch
-  // scope (shared soft-pointer update per extent, coalesced data IO), then commits
-  // all items under a single LSM batch insert — one durability barrier for the whole
-  // batch instead of one per item. Items fail independently (per-item Status); the
-  // batch dependency is the join of the successful items. Crash semantics: the batch
-  // is atomic per item (never a torn value or an index entry without its chunks), and
-  // a crash persists a prefix of the batch — with one shared metadata barrier that
-  // prefix is in fact none-or-all of the items that reached the index.
-  StoreBatchResult ApplyBatch(const std::vector<StoreBatchItem>& items,
-                              const SpanScope& scope = {});
 
   // All live shards in the half-open window [start, end), in key order, each with its
   // assembled value — the LSM merge view (memtable and every level, newest shadows
@@ -125,7 +141,7 @@ class ShardStore {
 
   // Clean shutdown: flush the index if needed, then drain all writebacks. After this,
   // every dependency ever returned must report persistent (the paper's forward-progress
-  // property). Serialized against ApplyBatch: draining mid-batch would find records
+  // property). Serialized against group commits: draining mid-batch would find records
   // gated on the batch's still-unresolved soft-pointer promises and misreport a
   // forward-progress violation.
   Status FlushAll(const SpanScope& scope = {});
@@ -162,9 +178,9 @@ class ShardStore {
   Counter* batch_applies_;
   Counter* batch_items_;
   Counter* batch_flushes_;
-  // Held across ApplyBatch's staging window (and FlushAll's drain): between
-  // BeginWriteBatch and EndWriteBatch the scheduler holds records gated on promises
-  // only the batch itself resolves, so a concurrent drain must wait.
+  // Held across a multi-item Write (and FlushAll's drain): between BeginWriteBatch and
+  // EndWriteBatch the scheduler holds records gated on promises only the batch itself
+  // resolves, so a concurrent drain must wait.
   Mutex batch_mu_{MutexAttr{"kv.store.batch", lockrank::kStoreBatch}};
 };
 

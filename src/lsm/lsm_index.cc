@@ -169,83 +169,42 @@ Result<std::unique_ptr<LsmIndex>> LsmIndex::Open(ExtentManager* extents, ChunkSt
   return index;
 }
 
-Dependency LsmIndex::Put(ShardId id, ShardRecord record, Dependency data_dep,
-                         const SpanScope& scope) {
+LsmInsertResult LsmIndex::Insert(std::vector<LsmBatchItem> items, const SpanScope& scope) {
+  LsmInsertResult result;
+  if (items.empty()) {
+    return result;
+  }
+  result.deps.reserve(items.size());
   Dependency promise = Dependency::MakePromise();
   bool want_flush = false;
   {
     Span span = scope.Child("lsm.insert");
     LockGuard lock(mu_);
-    puts_->Increment();
-    Entry entry;
-    entry.value = std::move(record);
-    entry.data_dep = data_dep;
-    entry.seq = next_seq_++;
-    pending_promises_.push_back({entry.seq, promise});
-    memtable_[id] = std::move(entry);
-    api_dirty_ = true;
-    want_flush = memtable_.size() >= options_.memtable_flush_entries;
-  }
-  if (want_flush) {
-    // Best-effort background-style flush; errors surface on the next explicit flush.
-    (void)Flush(scope);
-  }
-  return promise.And(data_dep);
-}
-
-std::vector<Dependency> LsmIndex::ApplyBatch(std::vector<LsmBatchItem> items,
-                                             bool* flush_wanted, const SpanScope& scope) {
-  std::vector<Dependency> deps;
-  deps.reserve(items.size());
-  if (flush_wanted != nullptr) {
-    *flush_wanted = false;
-  }
-  if (items.empty()) {
-    return deps;
-  }
-  Span span = scope.Child("lsm.insert");
-  Dependency promise = Dependency::MakePromise();
-  {
-    LockGuard lock(mu_);
-    batch_applies_->Increment();
-    batch_items_->Increment(items.size());
-    uint64_t max_seq = 0;
+    if (items.size() > 1) {
+      batch_applies_->Increment();
+      batch_items_->Increment(items.size());
+    }
     for (LsmBatchItem& item : items) {
       (item.record.has_value() ? puts_ : deletes_)->Increment();
       Entry entry;
       entry.value = std::move(item.record);
       entry.data_dep = item.data_dep;
       entry.seq = next_seq_++;
-      max_seq = entry.seq;
       memtable_[item.id] = std::move(entry);
-      deps.push_back(promise.And(item.data_dep));
+      result.deps.push_back(promise.And(item.data_dep));
     }
-    // One promise at the batch's highest sequence: the covering metadata flush
-    // snapshots the whole memtable under mu_, so all of the batch's entries — inserted
+    // One promise at the group's highest sequence: the covering metadata flush
+    // snapshots the whole memtable under mu_, so all of the group's entries — inserted
     // atomically above — resolve together at that single barrier.
-    pending_promises_.push_back({max_seq, promise});
+    pending_promises_.push_back({next_seq_ - 1, promise});
     api_dirty_ = true;
-    if (flush_wanted != nullptr) {
-      *flush_wanted = memtable_.size() >= options_.memtable_flush_entries;
-    }
+    want_flush = memtable_.size() >= options_.memtable_flush_entries;
   }
-  return deps;
-}
-
-Dependency LsmIndex::Delete(ShardId id, const SpanScope& scope) {
-  Dependency promise = Dependency::MakePromise();
-  {
-    Span span = scope.Child("lsm.insert");
-    LockGuard lock(mu_);
-    deletes_->Increment();
-    Entry entry;
-    entry.value = std::nullopt;
-    entry.seq = next_seq_++;
-    pending_promises_.push_back({entry.seq, promise});
-    memtable_[id] = std::move(entry);
-    api_dirty_ = true;
+  if (want_flush) {
+    (void)Flush(scope);
+    result.flushed = true;
   }
-  return promise;
+  return result;
 }
 
 LsmIndex::BuiltRun LsmIndex::BuildRun(const RunMap& entries) {
@@ -860,6 +819,18 @@ Result<Dependency> LsmIndex::RelocateShardChunk(ShardId owner, const Locator& ol
   Dependency promise = Dependency::MakePromise();
   {
     LockGuard lock(mu_);
+    // The Get above took its own hold, so a write to `owner` may have landed since. A
+    // put never reuses `old_loc` (its extent is being reclaimed) and a delete drops it,
+    // so a memtable entry that no longer lists it means the chunk is garbage now:
+    // writing the relocated record would overwrite that newer write.
+    auto it = memtable_.find(owner);
+    if (it != memtable_.end() &&
+        (!it->second.value.has_value() ||
+         std::find(it->second.value->chunks.begin(), it->second.value->chunks.end(),
+                   old_loc) == it->second.value->chunks.end())) {
+      SS_COVER("lsm.relocate_shard_chunk_overwritten");
+      return Dependency();
+    }
     Entry entry;
     entry.value = std::move(record);
     entry.data_dep = new_dep;

@@ -84,11 +84,16 @@ struct LsmOptions {
   size_t level_fanout = 4;
 };
 
-// One mutation of a batched index commit (see LsmIndex::ApplyBatch).
+// One mutation of an index insert (see LsmIndex::Insert).
 struct LsmBatchItem {
   ShardId id = 0;
   std::optional<ShardRecord> record;  // nullopt = tombstone
   Dependency data_dep;                // trivially persistent for tombstones
+};
+
+struct LsmInsertResult {
+  std::vector<Dependency> deps;  // per item, input order
+  bool flushed = false;          // the insert filled the memtable and flushed it
 };
 
 // A run's read-path pruning metadata: key range + bloom filter, decoded from the run
@@ -126,25 +131,24 @@ class LsmIndex : public ReclaimClient {
                                                 MetricRegistry* metrics = nullptr);
 
   // --- API ------------------------------------------------------------------------------
-  // Inserts/overwrites. `data_dep` is the dependency of the shard data the record points
-  // to; the entry will not reach durable index storage before that data does. Returns
-  // the entry's dependency (promise resolved by the covering metadata flush, combined
-  // with `data_dep`). `scope`, when active, receives an "lsm.insert" child span.
+  // The one write routine: inserts every item (record or tombstone) under one mu_ hold
+  // with consecutive sequence numbers and ONE promise registered at the highest of them,
+  // so the whole group rides a single durability barrier (the next covering metadata
+  // flush). A record's entry will not reach durable index storage before its `data_dep`
+  // does. Returns each item's dependency (the shared promise ∧ its data_dep). When the
+  // insert fills the memtable to LsmOptions::memtable_flush_entries, it flushes before
+  // returning (best effort: errors surface on the next explicit flush). `scope`, when
+  // active, receives an "lsm.insert" child span.
+  LsmInsertResult Insert(std::vector<LsmBatchItem> items, const SpanScope& scope = {});
+
+  // One-item inserts.
   Dependency Put(ShardId id, ShardRecord record, Dependency data_dep,
-                 const SpanScope& scope = {});
-
-  // Tombstone. Returns the tombstone's dependency.
-  Dependency Delete(ShardId id, const SpanScope& scope = {});
-
-  // Group commit: inserts every item under one mu_ hold with consecutive sequence
-  // numbers and ONE shared promise registered at the batch's highest sequence — the
-  // whole batch rides a single durability barrier (the next covering metadata flush)
-  // instead of one promise per item. Returns the per-item dependencies in input order
-  // (shared promise ∧ the item's data_dep). Unlike Put, a threshold crossing is
-  // reported through `flush_wanted` instead of flushing inline, so the caller
-  // (ShardStore::ApplyBatch) can close its extent write-batch scope first.
-  std::vector<Dependency> ApplyBatch(std::vector<LsmBatchItem> items, bool* flush_wanted,
-                                     const SpanScope& scope = {});
+                 const SpanScope& scope = {}) {
+    return Insert({LsmBatchItem{id, std::move(record), std::move(data_dep)}}, scope).deps[0];
+  }
+  Dependency Delete(ShardId id, const SpanScope& scope = {}) {
+    return Insert({LsmBatchItem{id, std::nullopt, Dependency()}}, scope).deps[0];
+  }
 
   // nullopt: no live mapping (never written, deleted, or tombstoned). `scope`, when
   // active, receives an "lsm.lookup" child span (with chunk.read descendants for runs
@@ -324,7 +328,7 @@ class LsmIndex : public ReclaimClient {
   Dependency last_meta_dep_;
   ExtentId meta_extents_[2] = {0, 0};
   int active_meta_ = 0;
-  bool api_dirty_ = false;       // set by Put/Delete only (the flag bug #3 trusts)
+  bool api_dirty_ = false;       // set by Insert only (the flag bug #3 trusts)
   bool internal_dirty_ = false;  // set by relocations and other internal mutations
   std::unique_ptr<MetricRegistry> owned_metrics_;
   MetricRegistry* metrics_ = nullptr;  // the registry in use (owned or caller's)

@@ -9,6 +9,28 @@
 
 namespace ss {
 
+namespace {
+
+std::vector<StoreWrite> PutWrites(const std::vector<std::pair<ShardId, Bytes>>& items) {
+  std::vector<StoreWrite> writes;
+  writes.reserve(items.size());
+  for (const auto& [id, value] : items) {
+    writes.push_back({id, value});
+  }
+  return writes;
+}
+
+std::vector<StoreWrite> DeleteWrites(const std::vector<ShardId>& ids) {
+  std::vector<StoreWrite> writes;
+  writes.reserve(ids.size());
+  for (ShardId id : ids) {
+    writes.push_back({id, std::nullopt});
+  }
+  return writes;
+}
+
+}  // namespace
+
 NodeServer::NodeServer(NodeServerOptions options)
     : options_(options),
       spans_(options.span_capacity, &metrics_) {
@@ -145,55 +167,134 @@ void NodeServer::AbsorbTrackerHealth(int disk, ShardStore& target) {
   }
 }
 
-Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remote) {
-  Span span = RootSpan("rpc.put", remote);
-  span.set_shard(id);
-  int disk = -1;
-  auto routed = Route(id, /*mutating=*/true, &disk);
-  span.set_disk(disk);
-  if (!routed.ok()) {
-    put_err_->Increment();
-    span.set_status(routed.code());
-    return routed.status();
+std::vector<BatchItemResult> NodeServer::WriteItems(const std::vector<StoreWrite>& items,
+                                                    Span& span, bool item_spans) {
+  std::vector<BatchItemResult> out(items.size());
+  std::vector<StartedSpan> started(item_spans ? items.size() : 0);
+  auto finish = [&](size_t i) {
+    if (item_spans) {
+      spans_.EndSpan(started[i], out[i].status.code(), 0);
+    }
+  };
+
+  // Route and admission-check every item, grouping the admitted ones by disk.
+  struct Group {
+    std::shared_ptr<ShardStore> store;
+    std::vector<size_t> indices;  // positions in `items`
+    std::vector<StoreWrite> writes;
+  };
+  std::map<int, Group> groups;
+  for (size_t i = 0; i < items.size(); ++i) {
+    out[i].id = items[i].id;
+    if (item_spans) {
+      started[i] = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
+      out[i].span_id = started[i].id;
+    }
+    auto routed = Route(items[i].id, /*mutating=*/true, &out[i].disk);
+    if (!routed.ok()) {
+      out[i].status = routed.status();
+      finish(i);
+      continue;
+    }
+    Group& group = groups[out[i].disk];
+    group.store = std::move(routed).value();
+    group.indices.push_back(i);
+    group.writes.push_back(items[i]);
   }
-  std::shared_ptr<ShardStore> target = std::move(routed).value();
-  const uint64_t start_ticks = target->extents().VirtualNow();
-  auto dep_or = target->Put(id, value, span.scope());
-  AbsorbTrackerHealth(disk, *target);
-  const uint64_t ticks = target->extents().VirtualNow() - start_ticks;
-  span.AddTicks(ticks);
-  op_ticks_->Record(ticks);
-  if (!dep_or.ok()) {
-    put_err_->Increment();
-    span.set_status(dep_or.code());
-    return dep_or.status();
-  }
-  put_ok_->Increment();
-  PutResult result{std::move(dep_or).value(), disk, span.id()};
-  if (BugEnabled(SeededBug::kUnconditionalRouteCommit)) {
-    // Seeded bug #19, the pre-fix routing commit: `disk` was resolved before the store
-    // call, so a MigrateShard that committed in between gets its directory entry
-    // overwritten with the stale source disk and later Gets route to the tombstoned
-    // copy. The yield is the preemption window the fix closes.
-    YieldThread();
+
+  // Each disk's items commit as one store write (one LSM barrier for the group). The
+  // store-layer children attach to the RPC root: per-item attribution inside a group
+  // commit is not meaningful, the items share one barrier.
+  const bool unconditional = BugEnabled(SeededBug::kUnconditionalRouteCommit);
+  for (auto& [disk, group] : groups) {
+    const uint64_t start_ticks = group.store->extents().VirtualNow();
+    StoreBatchResult written = group.store->Write(group.writes, span.scope());
+    AbsorbTrackerHealth(disk, *group.store);
+    const uint64_t ticks = group.store->extents().VirtualNow() - start_ticks;
+    span.AddTicks(ticks);
+    op_ticks_->Record(ticks);
+    bool any_ok = false;
+    for (size_t k = 0; k < group.indices.size(); ++k) {
+      BatchItemResult& item = out[group.indices[k]];
+      item.status = written.items[k].status;
+      item.dep = written.items[k].dep;
+      finish(group.indices[k]);
+      any_ok = any_ok || item.status.ok();
+    }
+    if (!any_ok) {
+      continue;
+    }
+    if (unconditional) {
+      // Seeded bug #19, the pre-fix routing commit: `disk` was resolved before the
+      // store call, so a MigrateShard that committed in between gets its directory
+      // entry overwritten (or erased) and later Gets route to the tombstoned copy. The
+      // yield is the preemption window the fix closes.
+      YieldThread();
+    }
     LockGuard lock(mu_);
-    directory_[id] = disk;
-    return result;
-  }
-  {
-    LockGuard lock(mu_);
-    auto it = directory_.find(id);
-    if (it == directory_.end()) {
-      directory_[id] = disk;
-    } else if (it->second != disk) {
-      // A concurrent migration committed new routing between our store write and this
-      // commit; overwriting it would point the directory back at a copy the migration
-      // tombstones.
-      SS_COVER("rpc.put_stale_route_commit_skipped");
-      stale_commit_skipped_->Increment();
+    for (size_t i : group.indices) {
+      if (!out[i].status.ok()) {
+        continue;
+      }
+      auto it = directory_.find(out[i].id);
+      if (!unconditional && it != directory_.end() && it->second != disk) {
+        // A concurrent migration committed new routing between our store write and
+        // this commit. Overwriting it would point the directory back at a copy the
+        // migration tombstones; erasing it would make the live copy unreachable.
+        SS_COVER("rpc.stale_route_commit_skipped");
+        stale_commit_skipped_->Increment();
+      } else if (items[i].value.has_value()) {
+        directory_[out[i].id] = disk;
+      } else if (it != directory_.end()) {
+        directory_.erase(it);
+      }
     }
   }
+  return out;
+}
+
+Result<BatchItemResult> NodeServer::WriteOne(std::string_view name, StoreWrite item,
+                                             TraceContext remote, Counter* ok,
+                                             Counter* err) {
+  Span span = RootSpan(name, remote);
+  span.set_shard(item.id);
+  BatchItemResult result = std::move(WriteItems({item}, span, /*item_spans=*/false)[0]);
+  span.set_disk(result.disk);
+  if (!result.status.ok()) {
+    err->Increment();
+    span.set_status(result.status.code());
+    return result.status;
+  }
+  ok->Increment();
+  result.span_id = span.id();
   return result;
+}
+
+BatchResult NodeServer::WriteMany(std::string_view name, Counter* calls,
+                                  const std::vector<StoreWrite>& items) {
+  calls->Increment();
+  Span span = RootSpan(name);
+  BatchResult out;
+  out.trace_id = span.id();
+  out.items = WriteItems(items, span, /*item_spans=*/true);
+  std::vector<Dependency> ok_deps;
+  for (const BatchItemResult& item : out.items) {
+    (item.status.ok() ? batch_item_ok_ : batch_item_err_)->Increment();
+    if (item.status.ok()) {
+      ok_deps.push_back(item.dep);
+    }
+  }
+  out.dep = Dependency::AndAll(ok_deps);
+  if (!out.all_ok()) {
+    span.set_status(StatusCode::kUnavailable);
+  }
+  return out;
+}
+
+Result<PutResult> NodeServer::Put(ShardId id, ByteSpan value, TraceContext remote) {
+  SS_ASSIGN_OR_RETURN(BatchItemResult item,
+                      WriteOne("rpc.put", {id, value}, remote, put_ok_, put_err_));
+  return PutResult{std::move(item.dep), item.disk, item.span_id};
 }
 
 Result<GetResult> NodeServer::Get(ShardId id, TraceContext remote) {
@@ -287,199 +388,17 @@ Result<ScanResult> NodeServer::Scan(ShardId start, ShardId end) {
 }
 
 Result<DeleteResult> NodeServer::Delete(ShardId id, TraceContext remote) {
-  Span span = RootSpan("rpc.delete", remote);
-  span.set_shard(id);
-  int disk = -1;
-  auto routed = Route(id, /*mutating=*/true, &disk);
-  span.set_disk(disk);
-  if (!routed.ok()) {
-    delete_err_->Increment();
-    span.set_status(routed.code());
-    return routed.status();
-  }
-  std::shared_ptr<ShardStore> target = std::move(routed).value();
-  const uint64_t start_ticks = target->extents().VirtualNow();
-  auto dep_or = target->Delete(id, span.scope());
-  AbsorbTrackerHealth(disk, *target);
-  const uint64_t ticks = target->extents().VirtualNow() - start_ticks;
-  span.AddTicks(ticks);
-  op_ticks_->Record(ticks);
-  if (!dep_or.ok()) {
-    delete_err_->Increment();
-    span.set_status(dep_or.code());
-    return dep_or.status();
-  }
-  delete_ok_->Increment();
-  DeleteResult result{std::move(dep_or).value(), disk, span.id()};
-  if (BugEnabled(SeededBug::kUnconditionalRouteCommit)) {
-    YieldThread();
-    LockGuard lock(mu_);
-    directory_.erase(id);
-    return result;
-  }
-  {
-    LockGuard lock(mu_);
-    auto it = directory_.find(id);
-    if (it != directory_.end()) {
-      if (it->second == disk) {
-        directory_.erase(it);
-      } else {
-        // The shard migrated while we tombstoned the old copy; the new owner's entry
-        // must survive, or its live copy becomes unreachable.
-        SS_COVER("rpc.delete_stale_route_erase_skipped");
-        stale_commit_skipped_->Increment();
-      }
-    }
-  }
-  return result;
+  SS_ASSIGN_OR_RETURN(BatchItemResult item,
+                      WriteOne("rpc.delete", {id, std::nullopt}, remote, delete_ok_, delete_err_));
+  return DeleteResult{std::move(item.dep), item.disk, item.span_id};
 }
 
 BatchResult NodeServer::PutBatch(const std::vector<std::pair<ShardId, Bytes>>& items) {
-  batch_puts_->Increment();
-  Span span = RootSpan("rpc.put_batch");
-  BatchResult out;
-  out.items.resize(items.size());
-  out.trace_id = span.id();
-  std::vector<StartedSpan> item_spans(items.size());
-
-  // Route and admission-check every item individually (same policy as Put), grouping
-  // the admitted ones into per-disk sub-batches. Each item gets a child span under the
-  // batch root; routing rejections close theirs immediately.
-  struct Group {
-    std::shared_ptr<ShardStore> store;
-    std::vector<size_t> indices;  // positions in `items`
-    std::vector<StoreBatchItem> batch;
-  };
-  std::map<int, Group> groups;
-  for (size_t i = 0; i < items.size(); ++i) {
-    out.items[i].id = items[i].first;
-    item_spans[i] = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
-    out.items[i].span_id = item_spans[i].id;
-    int disk = -1;
-    auto routed = Route(items[i].first, /*mutating=*/true, &disk);
-    out.items[i].disk = disk;
-    if (!routed.ok()) {
-      out.items[i].status = routed.status();
-      batch_item_err_->Increment();
-      spans_.EndSpan(item_spans[i], routed.code(), 0);
-      continue;
-    }
-    Group& group = groups[disk];
-    group.store = std::move(routed).value();
-    group.indices.push_back(i);
-    group.batch.push_back(StoreBatchItem{items[i].first, items[i].second});
-  }
-
-  // Fan out per disk: each sub-batch commits under one LSM barrier and one shared
-  // soft-pointer update per extent (ShardStore::ApplyBatch), then commits its routing
-  // entries per item — conditionally, so a migration that moved an item mid-batch
-  // keeps its directory entry (the PR 2 stale-commit fix, item-granular here). The
-  // store-layer children attach to the batch root (per-item attribution inside a group
-  // commit is not meaningful: the items share one barrier).
-  std::vector<Dependency> ok_deps;
-  for (auto& [disk, group] : groups) {
-    const uint64_t start_ticks = group.store->extents().VirtualNow();
-    StoreBatchResult applied = group.store->ApplyBatch(group.batch, span.scope());
-    AbsorbTrackerHealth(disk, *group.store);
-    const uint64_t ticks = group.store->extents().VirtualNow() - start_ticks;
-    span.AddTicks(ticks);
-    op_ticks_->Record(ticks);
-    LockGuard lock(mu_);
-    for (size_t k = 0; k < group.indices.size(); ++k) {
-      const size_t i = group.indices[k];
-      out.items[i].status = applied.items[k].status;
-      out.items[i].dep = applied.items[k].dep;
-      spans_.EndSpan(item_spans[i], applied.items[k].status.code(), 0);
-      if (!applied.items[k].status.ok()) {
-        batch_item_err_->Increment();
-        continue;
-      }
-      batch_item_ok_->Increment();
-      ok_deps.push_back(applied.items[k].dep);
-      auto it = directory_.find(out.items[i].id);
-      if (it == directory_.end()) {
-        directory_[out.items[i].id] = disk;
-      } else if (it->second != disk) {
-        SS_COVER("rpc.batch_stale_route_commit_skipped");
-        stale_commit_skipped_->Increment();
-      }
-    }
-  }
-  out.dep = Dependency::AndAll(ok_deps);
-  if (!out.all_ok()) {
-    span.set_status(StatusCode::kUnavailable);
-  }
-  return out;
+  return WriteMany("rpc.put_batch", batch_puts_, PutWrites(items));
 }
 
 BatchResult NodeServer::DeleteBatch(const std::vector<ShardId>& ids) {
-  batch_deletes_->Increment();
-  Span span = RootSpan("rpc.delete_batch");
-  BatchResult out;
-  out.items.resize(ids.size());
-  out.trace_id = span.id();
-  std::vector<StartedSpan> item_spans(ids.size());
-  struct Group {
-    std::shared_ptr<ShardStore> store;
-    std::vector<size_t> indices;
-    std::vector<StoreBatchItem> batch;
-  };
-  std::map<int, Group> groups;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    out.items[i].id = ids[i];
-    item_spans[i] = spans_.StartSpan("rpc.batch.item", span.id(), span.id());
-    out.items[i].span_id = item_spans[i].id;
-    int disk = -1;
-    auto routed = Route(ids[i], /*mutating=*/true, &disk);
-    out.items[i].disk = disk;
-    if (!routed.ok()) {
-      out.items[i].status = routed.status();
-      batch_item_err_->Increment();
-      spans_.EndSpan(item_spans[i], routed.code(), 0);
-      continue;
-    }
-    Group& group = groups[disk];
-    group.store = std::move(routed).value();
-    group.indices.push_back(i);
-    group.batch.push_back(StoreBatchItem{ids[i], std::nullopt});
-  }
-  std::vector<Dependency> ok_deps;
-  for (auto& [disk, group] : groups) {
-    const uint64_t start_ticks = group.store->extents().VirtualNow();
-    StoreBatchResult applied = group.store->ApplyBatch(group.batch, span.scope());
-    AbsorbTrackerHealth(disk, *group.store);
-    const uint64_t ticks = group.store->extents().VirtualNow() - start_ticks;
-    span.AddTicks(ticks);
-    op_ticks_->Record(ticks);
-    LockGuard lock(mu_);
-    for (size_t k = 0; k < group.indices.size(); ++k) {
-      const size_t i = group.indices[k];
-      out.items[i].status = applied.items[k].status;
-      out.items[i].dep = applied.items[k].dep;
-      spans_.EndSpan(item_spans[i], applied.items[k].status.code(), 0);
-      if (!applied.items[k].status.ok()) {
-        batch_item_err_->Increment();
-        continue;
-      }
-      batch_item_ok_->Increment();
-      ok_deps.push_back(applied.items[k].dep);
-      auto it = directory_.find(out.items[i].id);
-      if (it != directory_.end()) {
-        if (it->second == disk) {
-          directory_.erase(it);
-        } else {
-          // The shard migrated mid-batch; the new owner's routing entry must survive.
-          SS_COVER("rpc.batch_stale_route_erase_skipped");
-          stale_commit_skipped_->Increment();
-        }
-      }
-    }
-  }
-  out.dep = Dependency::AndAll(ok_deps);
-  if (!out.all_ok()) {
-    span.set_status(StatusCode::kUnavailable);
-  }
-  return out;
+  return WriteMany("rpc.delete_batch", batch_deletes_, DeleteWrites(ids));
 }
 
 Result<std::vector<ShardId>> NodeServer::ListShards() {
@@ -846,16 +765,25 @@ Status NodeServer::CrashAndRecoverDisk(int disk, uint64_t crash_seed) {
 }
 
 std::vector<Status> NodeServer::BulkCreate(const std::vector<std::pair<ShardId, Bytes>>& items) {
+  return Bulk("rpc.put_batch", batch_puts_, PutWrites(items));
+}
+
+std::vector<Status> NodeServer::BulkRemove(const std::vector<ShardId>& ids) {
+  return Bulk("rpc.delete_batch", batch_deletes_, DeleteWrites(ids));
+}
+
+std::vector<Status> NodeServer::Bulk(std::string_view name, Counter* calls,
+                                     const std::vector<StoreWrite>& items) {
+  std::vector<Status> statuses;
+  statuses.reserve(items.size());
   if (BugEnabled(SeededBug::kBulkCreateRemoveRace)) {
     // Buggy path (paper issue #16), preserved as seeded: items go through the request
     // plane one by one with no control-plane lock, so another bulk operation can
     // interleave between them and observers see a half-applied batch.
     SS_COVER("rpc.bug16_unlocked_bulk");
-    std::vector<Status> statuses;
-    statuses.reserve(items.size());
-    for (const auto& [id, value] : items) {
-      auto put_or = Put(id, value);
-      statuses.push_back(put_or.ok() ? Status::Ok() : put_or.status());
+    for (const StoreWrite& item : items) {
+      statuses.push_back(item.value.has_value() ? Put(item.id, *item.value).status()
+                                                : Delete(item.id).status());
       YieldThread();
     }
     return statuses;
@@ -864,32 +792,7 @@ std::vector<Status> NodeServer::BulkCreate(const std::vector<std::pair<ShardId, 
   // relative to other bulk operations; the batch pipeline underneath turns the items
   // into per-disk group commits.
   LockGuard guard(control_mu_);
-  BatchResult batch = PutBatch(items);
-  std::vector<Status> statuses;
-  statuses.reserve(batch.items.size());
-  for (const BatchItemResult& item : batch.items) {
-    statuses.push_back(item.status);
-  }
-  return statuses;
-}
-
-std::vector<Status> NodeServer::BulkRemove(const std::vector<ShardId>& ids) {
-  if (BugEnabled(SeededBug::kBulkCreateRemoveRace)) {
-    SS_COVER("rpc.bug16_unlocked_bulk");
-    std::vector<Status> statuses;
-    statuses.reserve(ids.size());
-    for (ShardId id : ids) {
-      auto dep_or = Delete(id);
-      statuses.push_back(dep_or.ok() ? Status::Ok() : dep_or.status());
-      YieldThread();
-    }
-    return statuses;
-  }
-  LockGuard guard(control_mu_);
-  BatchResult batch = DeleteBatch(ids);
-  std::vector<Status> statuses;
-  statuses.reserve(batch.items.size());
-  for (const BatchItemResult& item : batch.items) {
+  for (const BatchItemResult& item : WriteMany(name, calls, items).items) {
     statuses.push_back(item.status);
   }
   return statuses;

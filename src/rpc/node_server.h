@@ -16,7 +16,7 @@
 // returned disk loses recent shards), #13 (the shard listing releases its lock midway
 // and resumes by element count, missing entries that a concurrent removal shifted), and
 // #16 (bulk create/remove skip the control-plane lock that makes them atomic units),
-// plus #19 (Put/Delete commit their route unconditionally after the store call,
+// plus #19 (writes commit their route unconditionally after the store call,
 // clobbering a concurrent migration's routing commit).
 
 #ifndef SS_RPC_NODE_SERVER_H_
@@ -127,12 +127,12 @@ class NodeServer {
   // oracle. An empty window (start >= end) returns an empty result.
   Result<ScanResult> Scan(ShardId start, ShardId end);
 
-  // Batched writes with group commit: items are routed and admission-checked
-  // individually, grouped by owning disk, and each per-disk sub-batch commits through
-  // ShardStore::ApplyBatch under one LSM barrier and one shared soft-pointer update
-  // per extent. Items fail independently; the batch dependency is the join of the
-  // successful items. Routing commits are per-item and conditional (the same
-  // stale-commit skip as Put/Delete), so a concurrent MigrateShard is never clobbered.
+  // Batched writes with group commit, through the same write step as Put/Delete: items
+  // are routed and admission-checked individually, grouped by owning disk, and each
+  // per-disk sub-batch commits through one ShardStore::Write under one LSM barrier and
+  // one shared soft-pointer update per extent. Items fail independently; the batch
+  // dependency is the join of the successful items. Routing commits are per-item and
+  // conditional, so a concurrent MigrateShard is never clobbered.
   BatchResult PutBatch(const std::vector<std::pair<ShardId, Bytes>>& items);
   BatchResult DeleteBatch(const std::vector<ShardId>& ids);
 
@@ -239,6 +239,27 @@ class NodeServer {
   // Merge the store's error-budget tracker into the disk's health state (transitions
   // are sticky: the merge only ever moves health toward failed).
   void AbsorbTrackerHealth(int disk, ShardStore& target);
+
+  // The write step shared by Put, Delete, PutBatch and DeleteBatch. Routes and
+  // admission-checks each item; each disk's admitted items go to its store as one
+  // ShardStore::Write, whose retry ticks are charged to `span`; the disk's health
+  // absorbs the store's tracker; then each successful item's routing entry is
+  // committed (put) or erased (delete), conditionally, so a migration that moved the
+  // item meanwhile keeps its entry. With `item_spans`, each item gets an
+  // "rpc.batch.item" child of `span`. Returns one result per item, in input order.
+  std::vector<BatchItemResult> WriteItems(const std::vector<StoreWrite>& items, Span& span,
+                                          bool item_spans);
+  // A single-key write RPC under a root span `name`: its outcome (span_id = the root's
+  // id), counted in `ok` or `err`.
+  Result<BatchItemResult> WriteOne(std::string_view name, StoreWrite item, TraceContext remote,
+                                   Counter* ok, Counter* err);
+  // A batch write RPC under a root span `name`, counted in `calls`.
+  BatchResult WriteMany(std::string_view name, Counter* calls,
+                        const std::vector<StoreWrite>& items);
+  // BulkCreate/BulkRemove: WriteMany under the control-plane lock, or (seeded bug #16)
+  // one Put/Delete per item without it.
+  std::vector<Status> Bulk(std::string_view name, Counter* calls,
+                           const std::vector<StoreWrite>& items);
 
   // MigrateShard body; caller holds control_mu_. Store-layer children and the
   // virtual-clock ticks the migration consumed are recorded into `span` (the

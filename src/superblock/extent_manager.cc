@@ -120,7 +120,7 @@ uint32_t ExtentManager::PagesNeeded(size_t bytes) const {
 }
 
 Result<AppendResult> ExtentManager::Append(ExtentId extent, ByteSpan data, Dependency input,
-                                           const SpanScope& scope) {
+                                           const SpanScope& scope, const WriteBatch* batch) {
   Span span = scope.Child("extent.append");
   const SpanScope child_scope = span.scope();
   if (Status check = CheckExtent(extent); !check.ok()) {
@@ -201,12 +201,12 @@ Result<AppendResult> ExtentManager::Append(ExtentId extent, ByteSpan data, Depen
     //    rewind, making this skip fire and leaving the persisted pointer stale
     //    relative to the data.
     //
-    // Inside a write batch the update is deferred instead: the batch's appends to
-    // this extent share one superblock update (enqueued at EndWriteBatch, gated on
-    // all the pages it covers), and the append's dependency carries the pending
-    // update's promise in its place.
+    // An append made through a write batch defers the update instead: the batch's
+    // appends to this extent share one superblock update (enqueued at EndWriteBatch,
+    // gated on all the pages it covers), and the append's dependency carries the
+    // pending update's promise in its place.
     const uint32_t covered = state.wp + i + 1;
-    if (batch_depth_ > 0) {
+    if (batch != nullptr) {
       auto [pend_it, inserted] = pending_soft_wp_.try_emplace(extent);
       if (inserted) {
         pend_it->second.promise = Dependency::MakePromise();
@@ -284,21 +284,14 @@ void ExtentManager::SettlePendingSoftWpLocked(ExtentId extent) {
   pending_soft_wp_.erase(it);
 }
 
-void ExtentManager::BeginWriteBatch() {
-  LockGuard lock(mu_);
-  ++batch_depth_;
+ExtentManager::WriteBatch ExtentManager::BeginWriteBatch() {
   scheduler_->BeginCoalescing();
+  return WriteBatch();
 }
 
-void ExtentManager::EndWriteBatch() {
+void ExtentManager::EndWriteBatch(WriteBatch& /*batch*/) {
   LockGuard lock(mu_);
-  if (batch_depth_ == 0) {
-    return;
-  }
   scheduler_->EndCoalescing();
-  if (--batch_depth_ > 0) {
-    return;  // inner scope of a nested batch
-  }
   while (!pending_soft_wp_.empty()) {
     SettlePendingSoftWpLocked(pending_soft_wp_.begin()->first);
   }

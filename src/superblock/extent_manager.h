@@ -68,13 +68,38 @@ class ExtentManager : public TickSource {
                 uint32_t buffer_permits = kDefaultBufferPermits, common::RetryOptions retry = {},
                 MetricRegistry* metrics = nullptr);
 
+  // --- Write batch (group commit) -----------------------------------------------------
+  // Proof of an open write batch: only BeginWriteBatch makes one. Appends made through
+  // it (Append's `batch` argument) defer their extent's soft-write-pointer update:
+  // instead of one superblock update per page, the batch's appends to an extent share a
+  // single update, enqueued at EndWriteBatch and gated on all the data pages it covers.
+  // Each such append's result carries a promise for the shared update, resolved at End,
+  // so no batch append can report persistent before its covering pointer does, exactly
+  // as in the per-page path. The batch also opens the IoScheduler's coalescing window.
+  //
+  // Every append not made through the batch takes the per-page path, even while a batch
+  // is open: a concurrent compaction run or reclaim evacuation that joined the shared
+  // update could gate it behind its own later writes (DESIGN.md, Batched writes). The
+  // two paths may touch the same extent: their updates share the extent's soft-wp FIFO
+  // domain, and an update covering a batch page is gated on that page, so resolving the
+  // shared promise to an already-enqueued covering update keeps the ordering. Batches
+  // do not nest; the caller serializes them (ShardStore holds its batch mutex).
+  class WriteBatch {
+   private:
+    friend class ExtentManager;
+    WriteBatch() = default;
+  };
+  WriteBatch BeginWriteBatch();
+  void EndWriteBatch(WriteBatch& batch);
+
   // --- Data path ----------------------------------------------------------------------
   // Appends `data` (1..extent-size bytes) at the write pointer. The write is staged
   // immediately (readable through Read) and scheduled for writeback; it will not be
   // issued to disk before `input` persists. `scope`, when active, receives an
-  // "extent.append" child span (plus "extent.retry" / "io.submit" grandchildren).
+  // "extent.append" child span (plus "extent.retry" / "io.submit" grandchildren). With
+  // `batch`, the soft-pointer update is deferred to the batch's End (see WriteBatch).
   Result<AppendResult> Append(ExtentId extent, ByteSpan data, Dependency input,
-                              const SpanScope& scope = {});
+                              const SpanScope& scope = {}, const WriteBatch* batch = nullptr);
 
   // Reads `page_count` pages starting at `first_page`. Fails with kInvalidArgument if
   // the range extends past the write pointer, kIoError under fault injection.
@@ -85,21 +110,6 @@ class ExtentManager : public TickSource {
   // unreachable. The reset (and its zero soft pointer) is issued only after `input`
   // persists. Returns the reset's dependency.
   Dependency Reset(ExtentId extent, Dependency input);
-
-  // --- Write batch (group commit) -----------------------------------------------------
-  // Between BeginWriteBatch and the matching EndWriteBatch, Append defers each
-  // extent's soft-write-pointer update: instead of one superblock update per page, the
-  // appends of a batch share a single update per touched extent, enqueued at End and
-  // gated on all the data pages it covers. Append results carry a promise for the
-  // shared update, resolved at End — so no batch append can report persistent before
-  // its covering pointer does, exactly as in the unbatched path. The scope also opens
-  // the IoScheduler's coalescing window. Batches nest; inner Ends are no-ops.
-  //
-  // Interleaved non-batch appends on the same extent stay sound: their per-page
-  // updates share the soft-wp FIFO domain, and any update covering a batch page is
-  // gated (through the data domain's FIFO) on that page reaching the disk first.
-  void BeginWriteBatch();
-  void EndWriteBatch();
 
   // --- Ownership ----------------------------------------------------------------------
   // Claims a free extent for `owner`, persisting the ownership record in the superblock.
@@ -182,7 +192,6 @@ class ExtentManager : public TickSource {
   const common::RetryPolicy retry_;
   mutable Mutex mu_{MutexAttr{"extent.manager", lockrank::kExtent}};
   std::vector<ExtentState> extents_;
-  uint32_t batch_depth_ = 0;  // guarded by mu_
   std::map<ExtentId, PendingSoftWp> pending_soft_wp_;  // guarded by mu_
   Semaphore buffer_pool_;
   std::unique_ptr<MetricRegistry> owned_metrics_;

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "src/dep/io_scheduler.h"
 #include "src/faults/faults.h"
@@ -217,6 +218,58 @@ TEST_F(ApplyBatchTest, FlushThresholdTriggersOneGroupFlush) {
   // One flush for the whole batch — not one per item like looped Puts would pay.
   EXPECT_EQ(StoreCounter("store.batch.flushes"), 1u);
   EXPECT_EQ(StoreCounter("lsm.flushes"), 1u);
+}
+
+// A one-item write has no soft-pointer update to share, so it opens no write batch: a
+// one-item ApplyBatch enqueues exactly the IO records of the equivalent Put (one
+// soft-pointer record per page, nothing coalesced) and counts no group commit.
+TEST_F(ApplyBatchTest, OneItemBatchIsExactlyAPut) {
+  struct Run {
+    std::vector<std::string> records;  // pending IO records, queue order
+    MetricsSnapshot metrics;
+  };
+  auto run = [](bool batched) {
+    InMemoryDisk disk({.extent_count = 24, .pages_per_extent = 16, .page_size = 256});
+    auto opened = ShardStore::Open(&disk);
+    EXPECT_TRUE(opened.ok());
+    std::unique_ptr<ShardStore> store = std::move(opened).value();
+    // Settle the data extent's ownership record, so a coalescing window could merge.
+    EXPECT_TRUE(store->Put(99, Value(30, 9)).ok());
+    EXPECT_TRUE(store->FlushAll().ok());
+    if (batched) {
+      StoreBatchResult result = store->ApplyBatch({{1, Value(600, 7)}});  // a 3-page chunk
+      EXPECT_TRUE(result.items[0].status.ok());
+    } else {
+      EXPECT_TRUE(store->Put(1, Value(600, 7)).ok());
+    }
+    Run out;
+    std::istringstream dot(store->scheduler().PendingDot());
+    for (std::string line; std::getline(dot, line);) {
+      if (line.find("shape=box") != std::string::npos) {
+        out.records.push_back(line);
+      }
+    }
+    out.metrics = store->metrics().Snapshot();
+    return out;
+  };
+  const Run put = run(false);
+  const Run batch = run(true);
+
+  EXPECT_EQ(batch.records, put.records);
+  EXPECT_EQ(batch.metrics.counter("io.enqueued"), put.metrics.counter("io.enqueued"));
+  size_t soft_wp_records = 0;
+  for (const std::string& record : batch.records) {
+    soft_wp_records += record.find("softwp") != std::string::npos ? 1 : 0;
+  }
+  EXPECT_EQ(soft_wp_records, 3u);
+  for (const Run* r : {&put, &batch}) {
+    EXPECT_EQ(r->metrics.counter("io.coalesced_pages"), 0u);
+    EXPECT_EQ(r->metrics.counter("extent.batch.soft_wp_updates"), 0u);
+    for (const char* name : {"store.batch.applies", "store.batch.items", "store.batch.flushes",
+                             "lsm.batch.applies", "lsm.batch.items"}) {
+      EXPECT_EQ(r->metrics.counter(name), 0u) << name;
+    }
+  }
 }
 
 // The batch crash contract, checked exhaustively: enumerate every dependency-allowed

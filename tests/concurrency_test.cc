@@ -121,6 +121,25 @@ TEST(ConcurrencyBaseline, ListFlushPasses) {
   EXPECT_TRUE(result.ok) << result.error;
 }
 
+// Regression for the global write-batch window: while a group commit was staging, every
+// append on the store (compaction runs, reclaim evacuations) deferred its soft-pointer
+// update into the batch's shared one, which could end up gated on the appends' own
+// later writes, and the final FlushAll found the scheduler stuck.
+TEST(ConcurrencyBaseline, BatchMaintenancePasses) {
+  FaultRegistry::Global().DisableAll();
+  McResult result = McExplore(MakeBatchMaintenanceBody(), Pct(300, 1));
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
+// Regression for a relocation overwriting a newer put: reclamation read the owner's
+// record, a concurrent Put replaced it, and the relocated copy of the old record was
+// written over the new one, so read-after-write returned the old value.
+TEST(ConcurrencyBaseline, RelocationKeepsConcurrentOverwrite) {
+  FaultRegistry::Global().DisableAll();
+  McResult result = McExplore(MakeFig4IndexBody(), Pct(700, 6));
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
 TEST(ConcurrencyBaseline, RandomWalkAlsoPasses) {
   FaultRegistry::Global().DisableAll();
   EXPECT_TRUE(McExplore(MakeFig4IndexBody(), RandomWalk(150)).ok);

@@ -289,6 +289,20 @@ TEST_F(LsmTest, AutoFlushAtThreshold) {
   EXPECT_EQ(index_->MemtableEntries(), 0u);
 }
 
+// Tombstones fill the memtable like records do, so deletes flush at the threshold too.
+TEST_F(LsmTest, DeletesAutoFlushAtThreshold) {
+  index_.reset();
+  LsmOptions options;
+  options.memtable_flush_entries = 3;
+  index_ = std::move(LsmIndex::Open(extents_.get(), chunks_.get(), options).value());
+  index_->Delete(1);
+  index_->Delete(2);
+  EXPECT_EQ(index_->RunCount(), 0u);
+  index_->Delete(3);
+  EXPECT_EQ(index_->RunCount(), 1u);
+  EXPECT_EQ(index_->MemtableEntries(), 0u);
+}
+
 // --- Range scans -----------------------------------------------------------------------
 
 TEST_F(LsmTest, ScanMergesMemtableAndRuns) {
