@@ -12,7 +12,6 @@
 
 #include "src/harness/fig5.h"
 #include "src/harness/kv_harness.h"
-#include "src/harness/rpc_harness.h"
 
 using namespace ss;
 

@@ -5,9 +5,14 @@
 
 namespace ss {
 
+namespace {
+// Seeds the uuids of the chunk frames the store writes.
+constexpr uint64_t kUuidSeed = 0x5eed;
+}  // namespace
+
 ChunkStore::ChunkStore(ExtentManager* extents, BufferCache* cache, ChunkStoreOptions options,
                        MetricRegistry* metrics)
-    : extents_(extents), cache_(cache), options_(options), uuid_rng_(options.uuid_seed) {
+    : extents_(extents), cache_(cache), options_(options), uuid_rng_(kUuidSeed) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricRegistry>();
     metrics = owned_metrics_.get();

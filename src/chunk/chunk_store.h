@@ -76,7 +76,6 @@ class ReclaimClient {
 struct ChunkStoreOptions {
   // Largest accepted payload per chunk; callers split larger values.
   size_t max_payload_bytes = 1024;
-  uint64_t uuid_seed = 0x5eed;
 };
 
 class ChunkStore {

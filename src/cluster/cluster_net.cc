@@ -5,9 +5,14 @@
 namespace ss {
 namespace cluster {
 
+namespace {
+// Seeds the drop, duplication and delay draws.
+constexpr uint64_t kRngSeed = 1;
+}  // namespace
+
 ClusterNet::ClusterNet(ClusterNetOptions options, MetricRegistry* metrics)
     : options_(options),
-      rng_(options.rng_seed),
+      rng_(kRngSeed),
       owned_metrics_(metrics == nullptr ? std::make_unique<MetricRegistry>() : nullptr) {
   MetricRegistry* reg = owned_metrics_ != nullptr ? owned_metrics_.get() : metrics;
   delivered_ = &reg->counter("cluster.net.delivered");

@@ -50,7 +50,6 @@ struct ClusterNetOptions {
   // [0, delay_jitter_ticks].
   uint64_t base_delay_ticks = 0;
   uint64_t delay_jitter_ticks = 0;
-  uint64_t rng_seed = 1;
 };
 
 class ClusterNet : public TickSource {

@@ -27,7 +27,7 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
       spans_(options.span_capacity, &metrics_),
       ring_(options.vnodes),
       rpc_policy_(options.rpc_retry),
-      fd_(options.fd, &metrics_) {
+      fd_(&metrics_) {
   put_ok_ = &metrics_.counter("cluster.put.ok");
   write_degraded_ = &metrics_.counter("cluster.write.degraded");
   put_err_ = &metrics_.counter("cluster.put.err");

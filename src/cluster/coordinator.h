@@ -79,7 +79,6 @@ struct ClusterOptions {
   // 0 disables the timeout check.
   uint64_t op_timeout_ticks = 64;
 
-  FailureDetectorOptions fd;
   // Virtual ticks charged per Tick() heartbeat round.
   uint64_t heartbeat_period_ticks = 4;
 

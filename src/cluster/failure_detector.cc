@@ -15,14 +15,7 @@ const char* NodeHealthName(NodeHealth health) {
   return "unknown";
 }
 
-FailureDetector::FailureDetector(FailureDetectorOptions options, MetricRegistry* metrics)
-    : options_(options) {
-  if (options_.suspect_after_misses == 0) {
-    options_.suspect_after_misses = 1;
-  }
-  if (options_.down_after_misses <= options_.suspect_after_misses) {
-    options_.down_after_misses = options_.suspect_after_misses + 1;
-  }
+FailureDetector::FailureDetector(MetricRegistry* metrics) {
   if (metrics != nullptr) {
     entered_healthy_ = &metrics->counter("cluster.fd.healthy");
     entered_suspect_ = &metrics->counter("cluster.fd.suspect");
@@ -48,9 +41,9 @@ std::vector<FailureDetector::Transition> FailureDetector::Observe(int node,
     state.health = NodeHealth::kHealthy;
   } else {
     ++state.misses;
-    if (state.misses >= options_.down_after_misses) {
+    if (state.misses >= kDownAfterMisses) {
       state.health = NodeHealth::kDown;
-    } else if (state.misses >= options_.suspect_after_misses) {
+    } else if (state.misses >= kSuspectAfterMisses) {
       state.health = NodeHealth::kSuspect;
     }
   }

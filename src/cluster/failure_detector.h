@@ -25,20 +25,17 @@ enum class NodeHealth : uint8_t { kHealthy = 0, kSuspect = 1, kDown = 2 };
 
 const char* NodeHealthName(NodeHealth health);
 
-struct FailureDetectorOptions {
-  // Consecutive misses before healthy -> suspect, and before suspect -> down.
-  uint32_t suspect_after_misses = 2;
-  uint32_t down_after_misses = 4;
-};
-
 class FailureDetector {
  public:
+  // Consecutive misses before healthy -> suspect, and before suspect -> down.
+  static constexpr uint32_t kSuspectAfterMisses = 2;
+  static constexpr uint32_t kDownAfterMisses = 4;
+
   // When `metrics` is provided, every ladder transition increments the counter named
   // for the state *entered*: cluster.fd.healthy (recovery), cluster.fd.suspect,
   // cluster.fd.down. Counter pointers are resolved once here (registration is rare,
   // transitions are hot-path under the coordinator lock).
-  explicit FailureDetector(FailureDetectorOptions options = {},
-                           MetricRegistry* metrics = nullptr);
+  explicit FailureDetector(MetricRegistry* metrics = nullptr);
 
   void AddNode(int node);     // starts healthy
   void RemoveNode(int node);
@@ -51,7 +48,7 @@ class FailureDetector {
 
   // Feeds one heartbeat observation; returns the ladder transition it caused, if
   // any. A success resets the miss count and recovers the node to healthy from any
-  // state; a miss climbs the ladder at the configured thresholds.
+  // state; a miss climbs the ladder at the thresholds above.
   std::vector<Transition> Observe(int node, bool heartbeat_ok);
 
   NodeHealth Health(int node) const;  // kDown for unknown nodes
@@ -63,7 +60,6 @@ class FailureDetector {
     NodeHealth health = NodeHealth::kHealthy;
     uint32_t misses = 0;
   };
-  FailureDetectorOptions options_;
   std::map<int, NodeState> nodes_;
   Counter* entered_healthy_ = nullptr;  // null when metrics were not supplied
   Counter* entered_suspect_ = nullptr;

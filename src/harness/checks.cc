@@ -44,4 +44,25 @@ std::optional<std::string> CheckRead(ShardId id, const std::optional<Bytes>& exp
                      on_error);
 }
 
+std::optional<std::string> AdoptPostCrashSweep(KvStoreModel& model,
+                                               const std::vector<ShardId>& keys,
+                                               const CrashRead& read) {
+  for (ShardId id : keys) {
+    std::optional<Bytes> observed;
+    Result<Bytes> got = read(id);
+    if (got.ok()) {
+      observed = std::move(got).value();
+    } else if (got.code() != StatusCode::kNotFound) {
+      return "after crash: unexpected error reading shard " + std::to_string(id) + ": " +
+             got.status().ToString();
+    }
+    if (!model.AdoptPostCrash(id, observed)) {
+      return "after crash: shard " + std::to_string(id) +
+             (observed.has_value() ? " surfaced a value outside the crash-allowed set"
+                                   : " lost: a persisted mutation is unreadable");
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace ss

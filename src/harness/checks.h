@@ -1,5 +1,6 @@
 // Oracle plumbing shared by the PBT harnesses: the one path every harness reports a
-// violation through, and the one check of a read against the reference model.
+// violation through, the one check of a read against the reference model, the one
+// rule for when "full" is a legal answer, and the one post-crash adoption sweep.
 
 #ifndef SS_HARNESS_CHECKS_H_
 #define SS_HARNESS_CHECKS_H_
@@ -13,6 +14,7 @@
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/dep/dep_lint.h"
+#include "src/model/models.h"
 #include "src/obs/flight_recorder.h"
 #include "src/rpc/node_server.h"
 
@@ -90,6 +92,25 @@ std::optional<std::string> CheckRead(ShardId id, const std::optional<Bytes>& exp
 std::optional<std::string> CheckRead(ShardId id, const std::optional<Bytes>& expected,
                                      const Result<GetResult>& got,
                                      const ErrorOracle& on_error = nullptr);
+
+// The one "full" rule: whether an oracle accepts `status` as the system legitimately
+// running out of space. Today any kResourceExhausted is accepted; a space-liveness
+// property (full only when live data nears capacity) is a change to this function.
+inline bool IsLegallyFull(const Status& status) {
+  return status.code() == StatusCode::kResourceExhausted;
+}
+
+// Reads one shard for the post-crash sweep: its value, or the read's error.
+using CrashRead = std::function<Result<Bytes>(ShardId)>;
+
+// The post-crash adoption sweep (section 5): reads each of `keys` through `read`, and
+// collapses the model onto what survived with KvStoreModel::AdoptPostCrash. NotFound
+// observes the key absent. Any other error is a violation, and so is an observation
+// outside the crash-allowed set: a value older than the last persisted mutation, or a
+// persisted mutation lost.
+std::optional<std::string> AdoptPostCrashSweep(KvStoreModel& model,
+                                               const std::vector<ShardId>& keys,
+                                               const CrashRead& read);
 
 }  // namespace ss
 

@@ -238,6 +238,9 @@ std::vector<ClusterOp> ClusterConformanceHarness::Shrink(const ClusterOp& op) {
 
 namespace {
 
+// Bound on post-sequence maintenance rounds for the hint/pending drain.
+constexpr uint64_t kMaxDrainRounds = 16;
+
 int ResolveSlot(const std::vector<int>& members, int slot) {
   if (slot < 0 || members.empty()) {
     return cluster::ClusterNet::kClientId;
@@ -430,7 +433,7 @@ std::optional<std::string> ClusterConformanceHarness::Run(const std::vector<Clus
   }
   uint64_t rounds = 0;
   while ((cluster->HintCount() > 0 || cluster->PendingKeyCount() > 0) &&
-         rounds < options_.max_drain_rounds) {
+         rounds < kMaxDrainRounds) {
     cluster->Tick();
     ++rounds;
   }

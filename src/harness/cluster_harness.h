@@ -76,8 +76,6 @@ struct ClusterHarnessOptions {
   cluster::ClusterOptions cluster;
   uint64_t key_bound = 12;
   size_t max_value_bytes = 200;
-  // Bound on post-sequence maintenance rounds for the hint/pending drain.
-  uint64_t max_drain_rounds = 16;
   // Armed only for the one-shot re-run of a minimized counterexample.
   FlightRecorder* recorder = nullptr;
 

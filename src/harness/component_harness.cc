@@ -158,13 +158,13 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
         break;
       case IndexOpKind::kFlush:
         if (Status status = stack.index->Flush();
-            !status.ok() && status.code() != StatusCode::kResourceExhausted) {
+            !status.ok() && !IsLegallyFull(status)) {
           return fail(i, "flush failed: " + status.ToString());
         }
         break;
       case IndexOpKind::kCompact:
         if (Status status = stack.index->Compact();
-            !status.ok() && status.code() != StatusCode::kResourceExhausted) {
+            !status.ok() && !IsLegallyFull(status)) {
           return fail(i, "compact failed: " + status.ToString());
         }
         break;
@@ -178,7 +178,7 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
         Status status =
             stack.chunks->Reclaim(candidates[op.key % candidates.size()], stack.index.get());
         if (!status.ok() && status.code() != StatusCode::kUnavailable &&
-            status.code() != StatusCode::kResourceExhausted) {
+            !IsLegallyFull(status)) {
           return fail(i, "reclaim failed: " + status.ToString());
         }
         break;
@@ -201,14 +201,14 @@ std::optional<std::string> IndexConformanceHarness::Run(const std::vector<IndexO
       }
       case IndexOpKind::kCompactLevel:
         if (Status status = stack.index->CompactLevel(static_cast<int>(op.value_tag % 4));
-            !status.ok() && status.code() != StatusCode::kResourceExhausted) {
+            !status.ok() && !IsLegallyFull(status)) {
           return fail(i, "compact level failed: " + status.ToString());
         }
         break;
       case IndexOpKind::kReboot: {
         if (stack.index->NeedsShutdownFlush()) {
           if (Status status = stack.index->Flush();
-              !status.ok() && status.code() != StatusCode::kResourceExhausted) {
+              !status.ok() && !IsLegallyFull(status)) {
             return fail(i, "shutdown flush failed: " + status.ToString());
           }
         }
@@ -365,7 +365,7 @@ std::optional<std::string> ChunkConformanceHarness::Run(const std::vector<ChunkO
         }
         auto put_or = chunks.Put(data, Dependency());
         if (!put_or.ok()) {
-          if (put_or.code() == StatusCode::kResourceExhausted) {
+          if (IsLegallyFull(put_or.status())) {
             break;
           }
           return fail(i, "put failed: " + put_or.status().ToString());
@@ -395,7 +395,7 @@ std::optional<std::string> ChunkConformanceHarness::Run(const std::vector<ChunkO
         }
         Status status = chunks.Reclaim(candidates[op.pick % candidates.size()], &client);
         if (!status.ok() && status.code() != StatusCode::kUnavailable &&
-            status.code() != StatusCode::kResourceExhausted) {
+            !IsLegallyFull(status)) {
           return fail(i, "reclaim failed: " + status.ToString());
         }
         break;

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "src/harness/checks.h"
 #include "src/kv/shard_store.h"
 #include "src/mc/linearizability.h"
 #include "src/rpc/node_server.h"
@@ -60,7 +61,7 @@ std::function<void()> MakeFig4Body(bool batched) {
     });
     Thread compactor = Thread::Spawn([store] {
       Status status = store->CompactIndex();
-      MC_CHECK(status.ok() || status.code() == StatusCode::kResourceExhausted,
+      MC_CHECK(status.ok() || IsLegallyFull(status),
                "compact failed: " + status.ToString());
     });
 
@@ -133,7 +134,7 @@ std::function<void()> MakeFlushReclaimBody() {
     Bytes value = PatternValue(7, 150);
     MC_CHECK(store->Put(7, value).ok(), "put failed");
     Status flush = store->FlushIndex();
-    MC_CHECK(flush.ok() || flush.code() == StatusCode::kResourceExhausted,
+    MC_CHECK(flush.ok() || IsLegallyFull(flush),
              "flush failed: " + flush.ToString());
     sweeper.Join();
 
@@ -172,7 +173,7 @@ std::function<void()> MakeScanFlushBody() {
     Thread writer = Thread::Spawn([store, new_value] {
       MC_CHECK(store->Put(5, new_value).ok(), "racing put failed");
       Status flush = store->FlushIndex();
-      MC_CHECK(flush.ok() || flush.code() == StatusCode::kResourceExhausted,
+      MC_CHECK(flush.ok() || IsLegallyFull(flush),
                "racing flush failed: " + flush.ToString());
     });
 
@@ -212,7 +213,7 @@ std::function<void()> MakeListFlushBody() {
     MC_CHECK(store->Put(3, PatternValue(3, 64)).ok(), "setup put");
     Thread flusher = Thread::Spawn([store] {
       Status flush = store->FlushIndex();
-      MC_CHECK(flush.ok() || flush.code() == StatusCode::kResourceExhausted,
+      MC_CHECK(flush.ok() || IsLegallyFull(flush),
                "racing flush failed: " + flush.ToString());
     });
 
@@ -252,7 +253,7 @@ std::function<void()> MakeScanCompactBody() {
     // tombstone for key 1 must survive the merge.
     Thread compactor = Thread::Spawn([store] {
       Status status = store->CompactIndexLevel(0);
-      MC_CHECK(status.ok() || status.code() == StatusCode::kResourceExhausted,
+      MC_CHECK(status.ok() || IsLegallyFull(status),
                "compact level failed: " + status.ToString());
     });
 
@@ -306,7 +307,7 @@ std::function<void()> MakeCompactLevelReclaimBody() {
       }
     });
     Status compact = store->CompactIndexLevel(0);
-    MC_CHECK(compact.ok() || compact.code() == StatusCode::kResourceExhausted,
+    MC_CHECK(compact.ok() || IsLegallyFull(compact),
              "compact level failed: " + compact.ToString());
     sweeper.Join();
 

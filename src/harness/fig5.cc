@@ -7,7 +7,7 @@
 #include "src/harness/component_harness.h"
 #include "src/harness/concurrency.h"
 #include "src/harness/kv_harness.h"
-#include "src/harness/rpc_harness.h"
+#include "src/harness/node_harness.h"
 
 namespace ss {
 
@@ -149,7 +149,7 @@ Fig5Detection RunChecker(Checker checker, const Fig5Budget& budget, uint64_t mc_
       RunPbt<KvConformanceHarness>({}, pbt, out);
       break;
     case Checker::kPbtRpcConformance:
-      RunPbt<RpcConformanceHarness>({}, pbt, out);
+      RunPbt<NodeConformanceHarness>({}, pbt, out);
       break;
     case Checker::kPbtCrashConsistency: {
       KvHarnessOptions options;

@@ -316,21 +316,9 @@ std::optional<std::string> KvRun::RecoverFromCrash(size_t i) {
   // crash-allowed value — at least the latest mutation whose dependency persisted
   // (persistence), never anything older (consistency). The model then adopts the
   // observed durable state as its new baseline.
-  for (ShardId id : model_.TouchedKeys()) {
-    std::optional<Bytes> observed;
-    auto got = store_->Get(id);
-    if (got.ok()) {
-      observed = std::move(got).value();
-    } else if (got.code() != StatusCode::kNotFound) {
-      return fail_(i, "after crash: unexpected error reading shard " + std::to_string(id) +
-                          ": " + got.status().ToString());
-    }
-    if (!model_.AdoptPostCrash(id, observed)) {
-      return fail_(i, "after crash: shard " + std::to_string(id) +
-                          (observed.has_value()
-                               ? " surfaced a value outside the crash-allowed set"
-                               : " lost: a persisted mutation is unreadable"));
-    }
+  if (auto err = AdoptPostCrashSweep(model_, model_.TouchedKeys(),
+                                     [this](ShardId id) { return store_->Get(id); })) {
+    return fail_(i, *err);
   }
   return std::nullopt;
 }
@@ -367,7 +355,7 @@ std::optional<std::string> KvRun::Step(size_t i) {
       if (dep_or.ok()) {
         model_.Put(op.id, op.value, dep_or.value());
         dep_log_.push_back({i, dep_or.value()});
-      } else if (dep_or.code() == StatusCode::kResourceExhausted ||
+      } else if (IsLegallyFull(dep_or.status()) ||
                  (dep_or.code() == StatusCode::kIoError && faults_armed_)) {
         // Failed puts must be atomic no-ops; the model stays unchanged.
       } else {
@@ -406,7 +394,7 @@ std::optional<std::string> KvRun::Step(size_t i) {
         if (item.status.ok()) {
           model_.Put(op.batch[k].first, op.batch[k].second, item.dep);
           dep_log_.push_back({i, item.dep});
-        } else if (item.status.code() == StatusCode::kResourceExhausted ||
+        } else if (IsLegallyFull(item.status) ||
                    (item.status.code() == StatusCode::kIoError && faults_armed_)) {
           // A failed item must be an atomic no-op; the model stays unchanged.
         } else {
@@ -492,7 +480,7 @@ std::optional<std::string> KvRun::Step(size_t i) {
         status = store_->ReclaimExtent(candidates[op.arg % candidates.size()]);
       }
       if (!status.ok() && status.code() != StatusCode::kUnavailable &&
-          status.code() != StatusCode::kResourceExhausted &&
+          !IsLegallyFull(status) &&
           !(status.code() == StatusCode::kIoError && faults_armed_)) {
         return fail_(i, "maintenance failed: " + status.ToString());
       }
@@ -501,7 +489,7 @@ std::optional<std::string> KvRun::Step(size_t i) {
     case KvOpKind::kReboot: {
       Status status = store_->FlushAll();
       if (!status.ok()) {
-        if (status.code() == StatusCode::kResourceExhausted ||
+        if (IsLegallyFull(status) ||
             (status.code() == StatusCode::kIoError && faults_armed_)) {
           break;  // legitimate inability to persist; skip the reboot
         }
@@ -571,7 +559,7 @@ std::optional<std::string> KvRun::Step(size_t i) {
 std::optional<std::string> KvRun::Finish() {
   Status status = store_->FlushAll();
   if (!status.ok()) {
-    if (status.code() != StatusCode::kResourceExhausted &&
+    if (!IsLegallyFull(status) &&
         !(status.code() == StatusCode::kIoError && faults_armed_)) {
       return fail_(ops_.size(), "final shutdown failed: " + status.ToString());
     }

@@ -17,6 +17,8 @@ namespace {
 constexpr uint8_t kRunFormatVersion = 2;
 // Serialized header bytes excluding the bloom filter: format + min + max + count.
 constexpr size_t kRunHeaderBaseBytes = 1 + 8 + 8 + 4;
+// Seeds the uuids of the index's metadata chunks.
+constexpr uint64_t kMetaUuidSeed = 0x1e7a;
 }  // namespace
 
 void SerializeShardRecord(const ShardRecord& record, Writer& w) {
@@ -44,7 +46,7 @@ Result<ShardRecord> DeserializeShardRecord(Reader& r) {
 
 LsmIndex::LsmIndex(ExtentManager* extents, ChunkStore* chunks, LsmOptions options,
                    MetricRegistry* metrics)
-    : extents_(extents), chunks_(chunks), options_(options), meta_rng_(options.meta_uuid_seed) {
+    : extents_(extents), chunks_(chunks), options_(options), meta_rng_(kMetaUuidSeed) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricRegistry>();
     metrics = owned_metrics_.get();

@@ -75,7 +75,6 @@ struct LsmOptions {
   // Flush automatically once the memtable holds this many entries (SIZE_MAX = manual
   // flushing only, which the deterministic test harnesses use).
   size_t memtable_flush_entries = SIZE_MAX;
-  uint64_t meta_uuid_seed = 0x1e7a;
   // Leveled compaction trigger: when > 0, a successful flush that leaves at least this
   // many level-0 runs kicks off CompactLevel(0) inline (still under flush_mu_),
   // cascading downward while any deeper level holds more than `level_fanout` runs.

@@ -153,8 +153,8 @@ class DfsStrategy : public Strategy {
 
 class McRuntime : public SchedHooks {
  public:
-  McRuntime(Strategy* strategy, size_t max_steps, bool check_lock_order = true)
-      : strategy_(strategy), max_steps_(max_steps), check_lock_order_(check_lock_order) {}
+  explicit McRuntime(Strategy* strategy, bool check_lock_order = true)
+      : strategy_(strategy), check_lock_order_(check_lock_order) {}
 
   // --- Driver side --------------------------------------------------------------------
 
@@ -462,7 +462,7 @@ class McRuntime : public SchedHooks {
         poisoned_ = true;
         continue;
       }
-      if (steps_ >= max_steps_ && !poisoned_) {
+      if (steps_ >= kMcMaxSteps && !poisoned_) {
         failed_ = true;
         error_ = "step budget exceeded (possible livelock)";
         poisoned_ = true;
@@ -476,7 +476,6 @@ class McRuntime : public SchedHooks {
   }
 
   Strategy* strategy_;
-  size_t max_steps_;
   // When set, an execution fails if the lock-order witness records any new violation
   // during it — lock-order cycles become model-checking counterexamples.
   bool check_lock_order_;
@@ -525,7 +524,7 @@ McResult McExplore(const std::function<void()>& body, const McOptions& options) 
     std::vector<DfsStrategy::Node> path;
     for (size_t i = 0; i < options.iterations; ++i) {
       DfsStrategy strategy(&path);
-      McRuntime runtime(&strategy, options.max_steps, options.check_lock_order);
+      McRuntime runtime(&strategy, options.check_lock_order);
       ActiveRuntime() = &runtime;
       runtime.Run(body, &result);
       ActiveRuntime() = nullptr;
@@ -560,7 +559,7 @@ McResult McExplore(const std::function<void()>& body, const McOptions& options) 
     } else {
       strategy = std::make_unique<RandomStrategy>(exec_seed);
     }
-    McRuntime runtime(strategy.get(), options.max_steps, options.check_lock_order);
+    McRuntime runtime(strategy.get(), options.check_lock_order);
     ActiveRuntime() = &runtime;
     runtime.Run(body, &result);
     ActiveRuntime() = nullptr;
@@ -572,11 +571,10 @@ McResult McExplore(const std::function<void()>& body, const McOptions& options) 
   return result;
 }
 
-McResult McReplay(const std::function<void()>& body, const std::vector<uint32_t>& schedule,
-                  size_t max_steps) {
+McResult McReplay(const std::function<void()>& body, const std::vector<uint32_t>& schedule) {
   McResult result;
   ReplayStrategy strategy(&schedule);
-  McRuntime runtime(&strategy, max_steps);
+  McRuntime runtime(&strategy);
   ActiveRuntime() = &runtime;
   runtime.Run(body, &result);
   ActiveRuntime() = nullptr;

@@ -24,6 +24,9 @@
 
 namespace ss {
 
+// Per-execution step budget; exceeding it fails the execution (livelock suspicion).
+inline constexpr size_t kMcMaxSteps = 200000;
+
 struct McOptions {
   enum class Strategy : uint8_t { kRandom, kPct, kDfs };
   Strategy strategy = Strategy::kRandom;
@@ -31,8 +34,6 @@ struct McOptions {
   size_t iterations = 200;
   uint64_t seed = 1;
   int pct_depth = 3;
-  // Per-execution step budget; exceeding it fails the execution (livelock suspicion).
-  size_t max_steps = 200000;
   // Stop after the first failing execution (default) or keep counting failures.
   bool stop_on_failure = true;
   // Fail any execution during which the lock-order witness records a new violation,
@@ -70,8 +71,7 @@ McResult McExplore(const std::function<void()>& body, const McOptions& options);
 // once the schedule is exhausted — or the recorded task cannot run, which only
 // happens if `body` is not the body that produced the schedule — the first runnable
 // task is picked. A faithful replay reproduces the original failure deterministically.
-McResult McReplay(const std::function<void()>& body, const std::vector<uint32_t>& schedule,
-                  size_t max_steps = 200000);
+McResult McReplay(const std::function<void()>& body, const std::vector<uint32_t>& schedule);
 
 }  // namespace ss
 

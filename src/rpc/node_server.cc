@@ -1,6 +1,7 @@
 #include "src/rpc/node_server.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/cover.h"
 #include "src/common/rng.h"
@@ -99,7 +100,7 @@ int NodeServer::DiskForLocked(ShardId id) const {
   // once health resets). Sick-but-in-service homes therefore keep their hash route
   // and mutations surface kUnavailable until the operator evacuates or resets them.
   const int n = static_cast<int>(disks_.size());
-  const int hashed = static_cast<int>((id * 0x9e3779b97f4a7c15ULL >> 32) % disks_.size());
+  const int hashed = HashHome(id);
   for (int k = 0; k < n; ++k) {
     const int d = (hashed + k) % n;
     if (in_service_[d]) {
@@ -111,6 +112,77 @@ int NodeServer::DiskForLocked(ShardId id) const {
     }
   }
   return hashed;  // no disk can take new shards; the caller surfaces kUnavailable
+}
+
+int NodeServer::HashHome(ShardId id) const {
+  return static_cast<int>((id * 0x9e3779b97f4a7c15ULL >> 32) % disks_.size());
+}
+
+std::vector<ShardId> NodeServer::ReconcileLocked(int disk, const std::vector<ShardId>& ids) {
+  std::set<ShardId> survivors(ids.begin(), ids.end());
+  // A survivor whose node-written tombstone on this disk never became durable is the
+  // stale copy that tombstone dropped; no write to it since can have persisted either,
+  // since the first flush to succeed would have carried the tombstone too.
+  for (auto it = pending_tombstones_.begin(); it != pending_tombstones_.end();) {
+    if (it->disk != disk) {
+      ++it;
+      continue;
+    }
+    if (!it->dep.IsPersistent()) {
+      survivors.erase(it->id);
+    }
+    it = pending_tombstones_.erase(it);
+  }
+  for (auto it = directory_.begin(); it != directory_.end();) {
+    if (it->second == disk && survivors.count(it->first) == 0) {
+      it = directory_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  std::vector<ShardId> orphans;
+  for (ShardId id : ids) {
+    auto it = directory_.find(id);
+    const bool routed_here = it != directory_.end() ? it->second == disk : HashHome(id) == disk;
+    if (survivors.count(id) > 0 && routed_here) {
+      directory_[id] = disk;
+    } else {
+      orphans.push_back(id);
+    }
+  }
+  return orphans;
+}
+
+void NodeServer::NotePendingTombstoneLocked(int disk, ShardId id, Dependency dep) {
+  std::erase_if(pending_tombstones_,
+                [](const PendingTombstone& pending) { return pending.dep.IsPersistent(); });
+  pending_tombstones_.push_back({disk, id, std::move(dep)});
+}
+
+Status NodeServer::ReturnToService(int disk, std::unique_ptr<ShardStore> reopened) {
+  std::shared_ptr<ShardStore> shared(std::move(reopened));
+  SS_ASSIGN_OR_RETURN(std::vector<ShardId> ids, shared->List());
+  std::vector<ShardId> orphans;
+  {
+    LockGuard lock(mu_);
+    orphans = ReconcileLocked(disk, ids);
+  }
+  // Tombstone the orphans before the disk serves anything, so no routing change can
+  // surface one later (a removal diverting hash placement here, or a delete dropping
+  // the entry that routes around it).
+  std::vector<Dependency> tombstones;
+  for (ShardId id : orphans) {
+    SS_ASSIGN_OR_RETURN(Dependency dep, shared->Delete(id));
+    tombstones.push_back(std::move(dep));
+  }
+  LockGuard lock(mu_);
+  for (size_t k = 0; k < orphans.size(); ++k) {
+    NotePendingTombstoneLocked(disk, orphans[k], std::move(tombstones[k]));
+  }
+  stores_[disk] = shared;
+  in_service_[disk] = true;
+  health_[disk] = DiskHealth::kHealthy;
+  return Status::Ok();
 }
 
 int NodeServer::DiskFor(ShardId id) const {
@@ -235,6 +307,11 @@ std::vector<BatchItemResult> NodeServer::WriteItems(const std::vector<StoreWrite
     for (size_t i : group.indices) {
       if (!out[i].status.ok()) {
         continue;
+      }
+      if (!items[i].value.has_value() && disk != HashHome(out[i].id)) {
+        // Off its hash home, nothing but this tombstone keeps a crash of `disk` from
+        // bringing back an old copy once placement routes the shard here again.
+        NotePendingTombstoneLocked(disk, out[i].id, out[i].dep);
       }
       auto it = directory_.find(out[i].id);
       if (!unconditional && it != directory_.end() && it->second != disk) {
@@ -498,17 +575,8 @@ Status NodeServer::RestoreDisk(int disk) {
   span.set_disk(disk);
   SS_ASSIGN_OR_RETURN(std::unique_ptr<ShardStore> reopened,
                       ShardStore::Open(disks_[disk].get(), options_.store));
-  std::shared_ptr<ShardStore> shared(std::move(reopened));
-  SS_ASSIGN_OR_RETURN(std::vector<ShardId> ids, shared->List());
-  LockGuard lock(mu_);
-  stores_[disk] = shared;
-  in_service_[disk] = true;
-  health_[disk] = DiskHealth::kHealthy;  // operator returned a repaired disk
-  // Rebuild the directory entries this disk owns.
-  for (ShardId id : ids) {
-    directory_[id] = disk;
-  }
-  return Status::Ok();
+  // The operator returned a repaired disk: back to healthy.
+  return ReturnToService(disk, std::move(reopened));
 }
 
 Status NodeServer::MigrateShard(ShardId id, int to_disk) {
@@ -572,6 +640,12 @@ Status NodeServer::MigrateShardLocked(ShardId id, int to_disk, Span& span) {
   // disk could lose a shard whose original write was already acknowledged persistent.
   Status flushed = target->FlushAll(scope);
   if (!flushed.ok()) {
+    // The routing never moved: tombstone the copy, or it would be an orphan that a
+    // later delete (dropping the source's entry) could surface through hash placement.
+    if (auto undone = target->Delete(id, scope); undone.ok()) {
+      LockGuard lock(mu_);
+      NotePendingTombstoneLocked(to_disk, id, std::move(undone).value());
+    }
     add_ticks();
     return flushed;
   }
@@ -592,6 +666,10 @@ Status NodeServer::MigrateShardLocked(ShardId id, int to_disk, Span& span) {
   // would resurrect the stale copy and recovery could re-register it.
   Status drained = source->FlushAll(scope);
   if (!drained.ok()) {
+    {
+      LockGuard lock(mu_);
+      NotePendingTombstoneLocked(from_disk, id, std::move(dropped).value());
+    }
     add_ticks();
     return drained;
   }
@@ -732,31 +810,9 @@ Status NodeServer::CrashAndRecoverDisk(int disk, uint64_t crash_seed) {
   // The reboot clears armed injector faults: they model conditions of the running
   // controller, and the recovery read path (PeekPage) is not subject to injection.
   disks_[disk]->fault_injector().Clear();
-  auto reopened = ShardStore::Open(disks_[disk].get(), options_.store);
-  if (!reopened.ok()) {
-    return reopened.status();
-  }
-  std::shared_ptr<ShardStore> shared(std::move(reopened).value());
-  SS_ASSIGN_OR_RETURN(std::vector<ShardId> ids, shared->List());
-  LockGuard lock(mu_);
-  stores_[disk] = shared;
-  in_service_[disk] = true;
-  health_[disk] = DiskHealth::kHealthy;
-  // Directory reconciliation: entries for shards the crash lost are dropped (so later
-  // puts fall back to hash placement), survivors re-registered.
-  for (auto it = directory_.begin(); it != directory_.end();) {
-    if (it->second == disk &&
-        std::find(ids.begin(), ids.end(), it->first) == ids.end()) {
-      it = directory_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Survivors need no re-registration: their entries were kept above, and a survivor
-  // *without* an entry is a deleted shard the crash resurrected (its tombstone lived
-  // in the dropped memtable, with routing either already erased or pointing at the
-  // disk that now owns the delete). Re-adding an entry would hand the stale copy the
-  // routing back.
+  SS_ASSIGN_OR_RETURN(std::unique_ptr<ShardStore> reopened,
+                      ShardStore::Open(disks_[disk].get(), options_.store));
+  SS_RETURN_IF_ERROR(ReturnToService(disk, std::move(reopened)));
   SS_COVER("rpc.crash_recover_disk");
   crash_recoveries_->Increment();
   Span span = RootSpan("rpc.crash_recover_disk");

@@ -229,6 +229,29 @@ class NodeServer {
 
   // DiskFor body; caller holds mu_.
   int DiskForLocked(ShardId id) const;
+  // The disk a shard's hash places it on when every disk is in service.
+  int HashHome(ShardId id) const;
+
+  // Reconciles the directory with `ids`, the shards a reopened store on `disk` holds,
+  // before the disk goes back into service. An entry routed here whose shard did not
+  // survive is dropped, so later puts fall back to hash placement. A survivor is
+  // registered when its entry routes here or, having no entry, this is its hash home
+  // (a delete the crash dropped: the old value is a legal post-crash state). Any other
+  // survivor is an orphan the node does not route to: the copy of a migration that
+  // stopped midway, or a copy whose tombstone — a migration's, or a delete's off the
+  // shard's hash home — a crash dropped. An orphan off the hash home must not be
+  // registered even when placement reroutes to this disk: the crash-free history
+  // already saw it deleted. Returns the orphans. Caller holds mu_.
+  std::vector<ShardId> ReconcileLocked(int disk, const std::vector<ShardId>& ids);
+  // Puts `disk` back in service, healthy, on `reopened`: reconciles the directory and
+  // tombstones the orphans first. Shared by RestoreDisk and CrashAndRecoverDisk.
+  Status ReturnToService(int disk, std::unique_ptr<ShardStore> reopened);
+  // Records a tombstone the node wrote on `disk` to drop a copy it no longer routes
+  // to (a migration's source, an aborted migration's copy, an orphan) or a delete that
+  // landed off the shard's hash home, whose flush has not succeeded: until it is
+  // durable, a crash of `disk` can bring the copy back. Also drops the records that
+  // became durable. Caller holds mu_.
+  void NotePendingTombstoneLocked(int disk, ShardId id, Dependency dep);
 
   // Snapshot the store for a shard under one mu_ hold, checking service state and
   // health (a degraded disk refuses mutating requests, a failed disk refuses
@@ -310,6 +333,12 @@ class NodeServer {
   std::vector<bool> in_service_;
   std::vector<DiskHealth> health_;
   std::map<ShardId, int> directory_;  // live shards -> owning disk
+  struct PendingTombstone {
+    int disk = 0;
+    ShardId id = 0;
+    Dependency dep;
+  };
+  std::vector<PendingTombstone> pending_tombstones_;  // see NotePendingTombstoneLocked
 
   // serializes bulk control-plane operations
   Mutex control_mu_{MutexAttr{"rpc.control", lockrank::kControl}};

@@ -10,8 +10,8 @@
 #include "src/faults/faults.h"
 #include "src/harness/component_harness.h"
 #include "src/harness/kv_harness.h"
+#include "src/harness/node_harness.h"
 #include "src/kv/shard_store.h"
-#include "src/harness/rpc_harness.h"
 #include "src/obs/flight_recorder.h"
 
 namespace ss {
@@ -66,7 +66,7 @@ TEST_P(ConformanceSeeds, KvHarnessWithCrashesAndScansPasses) {
 }
 
 TEST_P(ConformanceSeeds, RpcHarnessPasses) {
-  RpcConformanceHarness harness{RpcHarnessOptions{}};
+  NodeConformanceHarness harness{NodeHarnessOptions{}};
   auto runner = harness.MakeRunner({.seed = GetParam(), .num_cases = 80});
   auto failure = runner.Run();
   ASSERT_FALSE(failure.has_value()) << failure->message;

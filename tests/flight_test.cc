@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "src/faults/faults.h"
-#include "src/harness/failure_harness.h"
+#include "src/harness/node_harness.h"
 #include "src/harness/kv_harness.h"
 #include "src/mc/mc.h"
 #include "src/obs/flight_recorder.h"
@@ -97,24 +97,24 @@ TEST_F(FlightTest, KvHarnessViolationWritesAReplayableArtifact) {
 // the recorder armed, it leaves an artifact too. Disks too small to flush the puts'
 // index make the end-of-run flush the sequence's first violation.
 TEST_F(FlightTest, FailureHarnessEndOfRunViolationWritesAnArtifact) {
-  FailureHarnessOptions options;
+  NodeHarnessOptions options;
   options.node.geometry = {.extent_count = 4, .pages_per_extent = 4, .page_size = 256};
-  std::vector<FailureOp> ops;
+  std::vector<NodeOp> ops;
   for (ShardId id = 0; id < 12; ++id) {
-    FailureOp put;
-    put.kind = FailureOpKind::kPut;
+    NodeOp put;
+    put.kind = NodeOpKind::kPut;
     put.id = id;
     put.value = Bytes(200, static_cast<uint8_t>(id));
     ops.push_back(put);
   }
-  std::optional<std::string> error = FailureConformanceHarness(options).Run(ops);
+  std::optional<std::string> error = NodeConformanceHarness(options).Run(ops);
   ASSERT_TRUE(error.has_value()) << "expected an end-of-run violation";
   EXPECT_NE(error->find("<end>"), std::string::npos) << *error;
 
   FlightRecorder recorder("flight-end-of-run");
-  FailureHarnessOptions armed = options;
+  NodeHarnessOptions armed = options;
   armed.recorder = &recorder;
-  EXPECT_EQ(FailureConformanceHarness(armed).Run(ops), error);
+  EXPECT_EQ(NodeConformanceHarness(armed).Run(ops), error);
   EXPECT_EQ(recorder.written(), 1u) << *error;
 }
 
@@ -131,7 +131,7 @@ TEST_F(FlightTest, CaptureNodeSnapshotsEverySection) {
   ASSERT_TRUE(node->Get(1).ok());
 
   FlightRecord record;
-  record.harness = "failure_conformance";
+  record.harness = "node_conformance";
   record.violation = "synthetic";
   CaptureNode(*node, record);
   FlightRecorder recorder("flight");
